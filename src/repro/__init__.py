@@ -47,15 +47,11 @@ the reproduced tables and figures.
 from repro.core import (
     ActivityProfile,
     DirectWorkload,
-    DualThresholdDfsPolicy,
     EmulationFlow,
     EmulationFramework,
     FrameworkConfig,
-    NoManagementPolicy,
-    PerCoreDfsPolicy,
     ProfiledWorkload,
     SnifferBank,
-    StopGoPolicy,
     SynthesisModel,
     ThermalTrace,
     Vpcm,
@@ -75,10 +71,14 @@ from repro.mpsoc import (
 )
 from repro.mpsoc.platform import CoreConfig
 from repro.policy import (
+    DualThresholdDfsPolicy,
     DvfsLadderPolicy,
+    NoManagementPolicy,
+    PerCoreDfsPolicy,
     PerDomainPolicy,
     PidFrequencyPolicy,
     PredictiveThrottlePolicy,
+    StopGoPolicy,
     ThermalPolicy,
 )
 from repro.policy.comparison import (

@@ -18,13 +18,6 @@ from repro.core.sniffers import (
 )
 from repro.core.dispatcher import BramBuffer, EthernetDispatcher, StatisticsFrame
 from repro.core.stats import ThermalTrace, TraceSample, diff_stats
-from repro.core.thermal_manager import (
-    DualThresholdDfsPolicy,
-    NoManagementPolicy,
-    PerCoreDfsPolicy,
-    StopGoPolicy,
-    ThermalPolicy,
-)
 from repro.core.vpcm import Vpcm
 from repro.core.workload_model import (
     ActivityProfile,
@@ -38,21 +31,16 @@ __all__ = [
     "BramBuffer",
     "CountLoggingSniffer",
     "DirectWorkload",
-    "DualThresholdDfsPolicy",
     "EmulationFlow",
     "EmulationFramework",
     "EthernetDispatcher",
     "EventLoggingSniffer",
     "FrameworkConfig",
-    "NoManagementPolicy",
-    "PerCoreDfsPolicy",
     "ProfiledWorkload",
     "Sniffer",
     "SnifferBank",
     "StatisticsFrame",
-    "StopGoPolicy",
     "SynthesisModel",
-    "ThermalPolicy",
     "ThermalTrace",
     "TraceSample",
     "Vpcm",

@@ -7,6 +7,10 @@ time by default) the window's activity statistics are converted to
 power, streamed to the thermal solver, integrated into new cell
 temperatures, fed back to the temperature sensors, and acted upon by the
 run-time thermal-management policy through the VPCM.
+
+The SW thermal half of that loop (network, solve, sensors, trace) is
+:class:`ThermalSide`, shared with :class:`repro.trace.replay.ReplaySource`,
+which feeds it recorded power instead of a live platform.
 """
 
 import time
@@ -248,48 +252,25 @@ def _string_keyed(stats):
     return out
 
 
-class EmulationFramework:
-    """One fully wired HW/SW co-emulation instance."""
+class ThermalSide:
+    """The SW thermal half of Figure 5, whatever feeds it power.
 
-    def __init__(
-        self,
-        platform,
-        floorplan,
-        workload=None,
-        policy=None,
-        config=None,
-        library=None,
-    ):
-        self.config = config or FrameworkConfig()
-        self.platform = platform
+    Owns the RC network, the solver and the sensor bank, and commits
+    one :class:`TraceSample` per window.  Subclasses supply the power
+    source (``_window_power``), the window commit that feeds
+    :meth:`_commit_sample`, and the ``done`` / ``emulated_seconds``
+    properties the run bounds key on:
+    :class:`EmulationFramework` emulates the platform live,
+    :class:`repro.trace.replay.ReplaySource` reads a recording.
+    """
+
+    #: Which emulation backend produces the power stream (None for a
+    #: caller-built workload object, and for a replay).
+    emulation_backend = None
+
+    def __init__(self, floorplan, config, properties=None):
+        self.config = cfg = config
         self.floorplan = floorplan
-        self.power_model = PowerModel(
-            floorplan, library, tech_node=self.config.tech_node
-        )
-        self.policy = policy or NoManagementPolicy()
-        cfg = self.config
-
-        # Heterogeneous platforms (mixed static core clocks) feed the
-        # power model a per-core frequency map every window; homogeneous
-        # ones keep the legacy single-global-clock path bit-for-bit.
-        self._hetero_core_hz = None
-        if platform is not None:
-            static_hz = platform.config.static_core_frequencies()
-            if len(set(static_hz.values())) > 1:
-                self._hetero_core_hz = static_hz
-
-        self.vpcm = Vpcm(physical_hz=cfg.physical_hz, virtual_hz=cfg.virtual_hz)
-        if platform is not None:
-            self.vpcm.attach_platform(platform)
-            self.sniffer_bank = SnifferBank.from_platform(platform)
-        else:
-            self.sniffer_bank = SnifferBank()
-
-        self.dispatcher = EthernetDispatcher(
-            link=EthernetLink(bandwidth_bps=cfg.ethernet_bandwidth_bps),
-            buffer=BramBuffer(capacity_bytes=cfg.bram_capacity_bytes),
-        )
-
         # Structure-cached assembly: sweeps over one floorplan + grid
         # configuration share a single grid/RCNetwork build per process.
         self.network = network_for(
@@ -298,6 +279,7 @@ class EmulationFramework:
             refine_critical=cfg.refine_critical,
             die_resolution=cfg.die_resolution,
             spreader_resolution=cfg.spreader_resolution,
+            properties=properties,
         )
         self.grid = self.network.grid
         self.solver = ThermalSolver(
@@ -331,28 +313,8 @@ class EmulationFramework:
             lower_kelvin=cfg.sensor_lower_kelvin,
         )
 
-        # Which emulation backend drives the platform (None when the
-        # caller passed a ready-made workload object).
-        self.emulation_backend = None
-        if workload is None:
-            if platform is None:
-                raise ValueError("need a workload when no platform is given")
-            backend = make_emulation_backend(cfg.emulation_backend)
-            workload = backend.build_workload(platform, self.power_model)
-            self.emulation_backend = backend.name
-        self.workload = workload
         self.trace = ThermalTrace()
         self.windows = 0
-        # Per-phase wall-time accumulators (seconds); "other" is the
-        # per-window residual (sensors, policy, bookkeeping) so the five
-        # shares sum to step_window's wall time.  The solve slot is
-        # filled by step_window — batched sweeps solve outside the
-        # framework, so solve and other stay 0.0 there by design.
-        self.timing = {"emulate": 0.0, "power": 0.0, "dispatch": 0.0,
-                       "solve": 0.0, "other": 0.0}
-        # High-water marks of what report() already pushed into the
-        # metrics registry, so repeated reports never double count.
-        self._published = {"windows": 0, "timing": {}, "solver": {}}
         self.stall_windows = 0  # consecutive zero-progress windows
         self._stall_bound_hit = False  # a bounds check tripped on stalling
         # Per-window capture hooks (repro.trace records the dispatcher
@@ -363,6 +325,151 @@ class EmulationFramework:
         # so trace_stride never changes the reported temperatures.
         self._peak_temp_k = float("nan")
         self._final_temp_k = float("nan")
+
+    def _commit_sample(self, now, powers, frequency, temps, transitions):
+        """Record one finished window: build its :class:`TraceSample`,
+        feed the captures, keep every ``trace_stride``-th sample, track
+        peak/final temperature and count the window."""
+        sample = TraceSample(
+            time_s=now,
+            frequency_hz=frequency,
+            total_power_w=sum(powers.values()),
+            max_temp_k=max(temps.values()),
+            component_temps=temps,
+            events=tuple(sorted(transitions.items())),
+        )
+        for capture in self.captures:
+            capture.on_window(self, powers, frequency, sample)
+        if not (self.windows % self.config.trace_stride):
+            self.trace.append(sample)
+        if not (self._peak_temp_k >= sample.max_temp_k):  # NaN-aware max
+            self._peak_temp_k = sample.max_temp_k
+        self._final_temp_k = sample.max_temp_k
+        self.windows += 1
+        return sample
+
+    def attach_capture(self, capture):
+        """Register a per-window capture hook (``on_window(framework,
+        powers, frequency, sample)``); returns ``capture`` for chaining.
+        Captures see every window, even ones ``trace_stride`` drops."""
+        self.captures.append(capture)
+        return capture
+
+    @property
+    def stalled(self):
+        """True when the run tripped its stall bound with work left.
+
+        A workload can stop advancing while emulated time still flows: a
+        ``stop_go`` policy gates the clock to 0 Hz, or a DFS operating
+        point so low that :meth:`repro.core.vpcm.Vpcm.window_cycles`
+        rounds a whole sampling window to zero cycles.  ``done`` never
+        fires then, so an unbounded :meth:`run` would spin forever — the
+        ``max_stall_windows`` bound stops it and this flag records the
+        diagnosis.  A run truncated by an ordinary time/window bound
+        during a normal clock-gated cooling pause is *not* stalled (the
+        raw streak length stays observable as ``stall_windows``); the
+        flag clears again if the bound is raised and progress resumes.
+        A replay never stalls.
+        """
+        return self._stall_bound_hit and not self.done
+
+    def bounds_reached(
+        self, max_emulated_seconds=None, max_windows=None, max_stall_windows=None
+    ):
+        """True when the power source is done or a run bound has been hit."""
+        if self.done:
+            return True
+        if (
+            max_emulated_seconds is not None
+            and self.emulated_seconds >= max_emulated_seconds - 1e-12
+        ):
+            return True
+        if max_stall_windows is not None and self.stall_windows >= max_stall_windows:
+            self._stall_bound_hit = True
+            return True
+        return max_windows is not None and self.windows >= max_windows
+
+    def run(self, max_emulated_seconds=None, max_windows=None,
+            max_stall_windows=None):
+        """Run until the power source is done (or a bound is hit).
+
+        ``max_stall_windows`` bounds *consecutive zero-progress windows*:
+        a run whose virtual clock is gated (or rounds to zero cycles per
+        window) under a never-cooling policy stops after that many stalled
+        windows instead of spinning forever, and the returned report
+        carries ``stalled=True``.
+        """
+        bounds = (max_emulated_seconds, max_windows, max_stall_windows)
+        tracer = obs_tracing.ACTIVE
+        if tracer is None:
+            while not self.bounds_reached(*bounds):
+                self.step_window()
+            return self.report()
+        with tracer.span(
+            "run", backend=self.emulation_backend or "custom"
+        ) as span:
+            while not self.bounds_reached(*bounds):
+                self.step_window()
+            span.set(windows=self.windows, emulated_s=self.emulated_seconds)
+        return self.report()
+
+
+class EmulationFramework(ThermalSide):
+    """One fully wired HW/SW co-emulation instance."""
+
+    def __init__(
+        self,
+        platform,
+        floorplan,
+        workload=None,
+        policy=None,
+        config=None,
+        library=None,
+    ):
+        super().__init__(floorplan, config or FrameworkConfig())
+        cfg = self.config
+        self.platform = platform
+        self.power_model = PowerModel(floorplan, library, tech_node=cfg.tech_node)
+        self.policy = policy or NoManagementPolicy()
+
+        # Heterogeneous platforms (mixed static core clocks) feed the
+        # power model a per-core frequency map every window; homogeneous
+        # ones keep the legacy single-global-clock path bit-for-bit.
+        self._hetero_core_hz = None
+        if platform is not None:
+            static_hz = platform.config.static_core_frequencies()
+            if len(set(static_hz.values())) > 1:
+                self._hetero_core_hz = static_hz
+
+        self.vpcm = Vpcm(physical_hz=cfg.physical_hz, virtual_hz=cfg.virtual_hz)
+        if platform is not None:
+            self.vpcm.attach_platform(platform)
+            self.sniffer_bank = SnifferBank.from_platform(platform)
+        else:
+            self.sniffer_bank = SnifferBank()
+
+        self.dispatcher = EthernetDispatcher(
+            link=EthernetLink(bandwidth_bps=cfg.ethernet_bandwidth_bps),
+            buffer=BramBuffer(capacity_bytes=cfg.bram_capacity_bytes),
+        )
+
+        if workload is None:
+            if platform is None:
+                raise ValueError("need a workload when no platform is given")
+            backend = make_emulation_backend(cfg.emulation_backend)
+            workload = backend.build_workload(platform, self.power_model)
+            self.emulation_backend = backend.name
+        self.workload = workload
+        # Per-phase wall-time accumulators (seconds); "other" is the
+        # per-window residual (sensors, policy, bookkeeping) so the five
+        # shares sum to step_window's wall time.  The solve slot is
+        # filled by step_window — batched sweeps solve outside the
+        # framework, so solve and other stay 0.0 there by design.
+        self.timing = {"emulate": 0.0, "power": 0.0, "dispatch": 0.0,
+                       "solve": 0.0, "other": 0.0}
+        # High-water marks of what report() already pushed into the
+        # metrics registry, so repeated reports never double count.
+        self._published = {"windows": 0, "timing": {}, "solver": {}}
         # Launch-time policy validation: a policy naming components with
         # no sensor (or needing floorplan defaults) finds out now, not
         # silently mid-run.  getattr keeps duck-typed legacy policies
@@ -483,93 +590,16 @@ class EmulationFramework:
         transitions = self.sensors.update(temps, now)
         self.policy.react(self.sensors, self.vpcm, now)
 
-        sample = TraceSample(
-            time_s=now,
-            frequency_hz=frequency,
-            total_power_w=sum(powers.values()),
-            max_temp_k=max(temps.values()),
-            component_temps=temps,
-            events=tuple(sorted(transitions.items())),
-        )
-        for capture in self.captures:
-            capture.on_window(self, powers, frequency, sample)
-        if not (self.windows % self.config.trace_stride):
-            self.trace.append(sample)
-        if not (self._peak_temp_k >= sample.max_temp_k):  # NaN-aware max
-            self._peak_temp_k = sample.max_temp_k
-        self._final_temp_k = sample.max_temp_k
-        self.windows += 1
-        return sample
-
-    def attach_capture(self, capture):
-        """Register a per-window capture hook (``on_window(framework,
-        powers, frequency, sample)``); returns ``capture`` for chaining.
-        Captures see every window, even ones ``trace_stride`` drops."""
-        self.captures.append(capture)
-        return capture
+        return self._commit_sample(now, powers, frequency, temps, transitions)
 
     @property
-    def stalled(self):
-        """True when the run tripped its stall bound with work left.
+    def done(self):
+        """The workload finished."""
+        return self.workload.done
 
-        A workload can stop advancing while emulated time still flows: a
-        ``stop_go`` policy gates the clock to 0 Hz, or a DFS operating
-        point so low that :meth:`repro.core.vpcm.Vpcm.window_cycles`
-        rounds a whole sampling window to zero cycles.  ``workload.done``
-        never fires then, so an unbounded :meth:`run` would spin forever
-        — the ``max_stall_windows`` bound stops it and this flag records
-        the diagnosis.  A run truncated by an ordinary time/window bound
-        during a normal clock-gated cooling pause is *not* stalled (the
-        raw streak length stays observable as ``stall_windows``); the
-        flag clears again if the bound is raised and progress resumes.
-        """
-        return self._stall_bound_hit and not self.workload.done
-
-    def bounds_reached(
-        self, max_emulated_seconds=None, max_windows=None, max_stall_windows=None
-    ):
-        """True when the workload is done or a run bound has been hit."""
-        if self.workload.done:
-            return True
-        if (
-            max_emulated_seconds is not None
-            and self.vpcm.emulated_seconds >= max_emulated_seconds - 1e-12
-        ):
-            return True
-        if max_stall_windows is not None and self.stall_windows >= max_stall_windows:
-            self._stall_bound_hit = True
-            return True
-        return max_windows is not None and self.windows >= max_windows
-
-    def run(self, max_emulated_seconds=None, max_windows=None,
-            max_stall_windows=None):
-        """Run until the workload completes (or a bound is hit).
-
-        ``max_stall_windows`` bounds *consecutive zero-progress windows*:
-        a run whose virtual clock is gated (or rounds to zero cycles per
-        window) under a never-cooling policy stops after that many stalled
-        windows instead of spinning forever, and the returned report
-        carries ``stalled=True``.
-        """
-        tracer = obs_tracing.ACTIVE
-        if tracer is None:
-            while not self.bounds_reached(
-                max_emulated_seconds, max_windows, max_stall_windows
-            ):
-                self.step_window()
-            return self.report()
-        with tracer.span(
-            "run", backend=self.emulation_backend or "custom"
-        ) as span:
-            while not self.bounds_reached(
-                max_emulated_seconds, max_windows, max_stall_windows
-            ):
-                self.step_window()
-            span.set(
-                windows=self.windows,
-                emulated_s=self.vpcm.emulated_seconds,
-            )
-        return self.report()
+    @property
+    def emulated_seconds(self):
+        return self.vpcm.emulated_seconds
 
     def _publish_metrics(self):
         """Push run/solver counters into the default metrics registry.

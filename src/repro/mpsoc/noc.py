@@ -19,8 +19,6 @@ XpipesCompiler topology generator.
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.mpsoc import events as ev
 from repro.mpsoc.events import CounterBlock, Observable
 from repro.mpsoc.ocp import CMD_READ, CMD_WRITE, OcpRequest
@@ -72,10 +70,32 @@ class NocConfig:
         return cls(**data)
 
     def graph(self):
-        g = nx.Graph()
-        g.add_nodes_from(self.switches)
-        g.add_edges_from(self.links)
-        return g
+        """Adjacency ``{switch: [neighbours]}``; switches and each
+        neighbour list keep first-insertion order (duplicate links
+        collapse), which fixes the routing tie-breaks."""
+        adjacency = {switch: [] for switch in self.switches}
+        for a, b in self.links:
+            if b not in adjacency[a]:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+        return adjacency
+
+
+def _shortest_paths(adjacency, source):
+    """Level-order BFS from ``source``: ``{switch: path}`` for every
+    reachable switch, taking the first path found on each level (the
+    tie-break of ``networkx.single_source_shortest_path``)."""
+    paths = {source: [source]}
+    level = [source]
+    while level:
+        following = []
+        for node in level:
+            for neighbour in adjacency[node]:
+                if neighbour not in paths:
+                    paths[neighbour] = paths[node] + [neighbour]
+                    following.append(neighbour)
+        level = following
+    return paths
 
 
 class Noc(Observable):
@@ -87,8 +107,6 @@ class Noc(Observable):
         self.name = config.name
         self.counters = CounterBlock(config.name)
         self._graph = config.graph()
-        if self._graph.number_of_nodes() > 1 and not nx.is_connected(self._graph):
-            raise ValueError(f"{config.name}: topology is not connected")
         self._endpoints = {}  # endpoint name -> switch
         self._routes = {}  # (src switch, dst switch) -> [switches]
         self._link_busy = {}  # (a, b) directed -> busy-until cycle
@@ -99,9 +117,11 @@ class Noc(Observable):
         self._precompute_routes()
 
     def _precompute_routes(self):
-        paths = dict(nx.all_pairs_shortest_path(self._graph))
-        for src, targets in paths.items():
-            for dst, path in targets.items():
+        for src in self._graph:
+            paths = _shortest_paths(self._graph, src)
+            if len(paths) < len(self._graph):
+                raise ValueError(f"{self.name}: topology is not connected")
+            for dst, path in paths.items():
                 self._routes[(src, dst)] = path
 
     # -- topology / attachment ---------------------------------------------
@@ -128,7 +148,7 @@ class Noc(Observable):
 
     def switch_radix(self, switch):
         """Channels on a switch: inter-switch links + attached NIs."""
-        degree = self._graph.degree(switch)
+        degree = len(self._graph[switch])
         nis = sum(1 for s in self._endpoints.values() if s == switch)
         return degree + nis
 

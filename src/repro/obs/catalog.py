@@ -65,6 +65,14 @@ OBS_METRICS.register(
     "repro_store_puts_total",
     "Trace archives written into the TraceStore",
 )
+OBS_METRICS.register(
+    "repro_store_corrupt_total",
+    "TraceStore entries that failed to load or validate (served as misses)",
+)
+OBS_METRICS.register(
+    "repro_store_put_errors_total",
+    "Runner recordings the TraceStore failed to write (I/O errors)",
+)
 # Runner
 OBS_METRICS.register(
     "repro_runner_scenarios_total",

@@ -23,7 +23,12 @@ from repro.obs.timeline import RunTimeline
 
 
 def _timeline(args):
-    timeline = RunTimeline.from_jsonl(args.log)
+    try:
+        timeline = RunTimeline.from_jsonl(args.log)
+    except (OSError, ValueError) as exc:  # missing file, malformed line
+        print(f"error: cannot read span log {args.log}: {exc}",
+              file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(timeline.summary(), indent=2, sort_keys=True))
     else:

@@ -21,7 +21,6 @@ worker does exactly this).
 """
 
 import contextlib
-import io
 import json
 import os
 import time
@@ -173,18 +172,21 @@ def trace_to(path):
 
 
 def read_jsonl(source):
-    """Parse a JSONL span log (path, file-like, or text) into events."""
+    """Parse a JSONL span log into events.
+
+    ``source`` is a path (path-like, or a ``str`` without a newline), a
+    file-like object, or the log text itself (a ``str`` with newlines,
+    or ``bytes``).  A missing path raises :class:`FileNotFoundError`.
+    """
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, str) and "\n" not in source and os.path.exists(
-        source
-    ):
+    elif isinstance(source, bytes):
+        text = source.decode("utf-8")
+    elif isinstance(source, str) and "\n" in source:
+        text = source
+    else:
         with open(source, encoding="utf-8") as handle:
             text = handle.read()
-    elif isinstance(source, (str, bytes)):
-        text = source if isinstance(source, str) else source.decode("utf-8")
-    else:
-        text = io.TextIOWrapper(source).read()
     events = []
     for line in text.splitlines():
         line = line.strip()

@@ -4,7 +4,7 @@
 returns uniform :class:`ScenarioResult` objects in input order.  With
 ``workers > 1`` the batch fans out over a ``multiprocessing`` pool —
 scenarios travel as their JSON-compatible dicts and come back as
-serialized reports, so the only requirement on a scenario is the same
+pickled results, so the only requirement on a scenario is the same
 one the CLI imposes: it must be expressible as plain data.
 
 :meth:`Runner.run_batched` is the orthogonal fast path: instead of
@@ -24,6 +24,7 @@ re-emulating the platform.  Replayed members carry provenance in
 ``report.extras["replay"]``.
 """
 
+import logging
 import multiprocessing
 import time
 import traceback as traceback_module
@@ -37,6 +38,11 @@ from repro.obs import catalog as obs_catalog
 from repro.obs import tracing as obs_tracing
 from repro.scenario.spec import Scenario
 from repro.thermal.backends import BatchedLU
+from repro.trace.capture import PowerTraceCapture
+from repro.trace.replay import ReplaySource
+from repro.trace.store import TraceStore, scenario_trace_digest
+
+_log = logging.getLogger(__name__)
 
 #: Scenarios-per-batch histogram buckets (counts, not seconds).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -98,41 +104,74 @@ class ScenarioResult:
         return f"{self.name}: {self.report.summary()}\n  wall {self.wall_seconds:.2f} s"
 
 
-def _execute(payload):
-    """Pool worker: run one scenario dict, return a picklable outcome.
+def _prepare(scenario, archive=None, record=False, library=None, source=None):
+    """The runnable of one planned member: a :class:`ReplaySource` over
+    ``archive`` when there is one, else a live framework — plus the
+    capture that records its boundary stream when ``record``."""
+    if archive is not None:
+        runnable = ReplaySource(
+            archive, config=scenario.config, floorplan=scenario.floorplan,
+            source=source,
+        )
+    else:
+        runnable = scenario.build(library=library)
+    capture = runnable.attach_capture(PowerTraceCapture()) if record else None
+    return runnable, capture
 
-    With ``capture_power`` the live run records its boundary stream and
-    ships the :class:`~repro.trace.format.TraceArchive` back (NumPy
-    arrays pickle fine), so the parent can file it in the trace store.
+
+def _failed(index, name, exc, wall=0.0):
+    """The result of a member that raised ``exc`` (call inside the
+    ``except`` block, so the traceback is the live one)."""
+    return ScenarioResult(
+        name=name,
+        index=index,
+        wall_seconds=wall,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback=traceback_module.format_exc(),
+    )
+
+
+def _execute(payload):
+    """Run one member to its bounds; returns ``(ScenarioResult,
+    recording)``.
+
+    ``payload`` is ``(index, scenario dict, capture_trace, record,
+    archive, source)``.  With an ``archive`` the member replays it,
+    otherwise it emulates live; with ``record`` the run captures its
+    boundary stream and ships the
+    :class:`~repro.trace.format.TraceArchive` back (NumPy arrays pickle
+    fine) so the parent can file it in the trace store.
     """
-    index, scenario_dict, capture_trace, capture_power = payload
+    index, scenario_dict, capture_trace, record, archive, source = payload
     start = time.perf_counter()
-    name = scenario_dict.get("name", f"scenario{index}")
-    archive = None
     try:
         scenario = Scenario.from_dict(scenario_dict)
-        if capture_power:
-            from repro.trace.capture import record
-
-            framework, report, archive = record(scenario)
-        else:
-            framework, report = scenario.run()
-        wall = time.perf_counter() - start
-        trace = framework.trace if capture_trace else None
-        return (
-            index, scenario.name, report.to_dict(), wall, None, None, trace,
-            archive,
+        runnable, capture = _prepare(scenario, archive, record, source=source)
+        report = runnable.run(
+            max_emulated_seconds=scenario.max_emulated_seconds,
+            max_windows=scenario.max_windows,
+            max_stall_windows=scenario.max_stall_windows,
         )
+        recording = None
+        if capture is not None:
+            recording = capture.to_archive(
+                runnable, scenario=scenario, report=report
+            )
+        result = ScenarioResult(
+            name=scenario.name,
+            index=index,
+            report=report,
+            wall_seconds=time.perf_counter() - start,
+            trace=runnable.trace if capture_trace else None,
+        )
+        return result, recording
     except Exception as exc:  # the batch survives one bad scenario
-        wall = time.perf_counter() - start
-        return (
-            index, name, None, wall, f"{type(exc).__name__}: {exc}",
-            traceback_module.format_exc(), None, None,
-        )
+        name = scenario_dict.get("name", f"scenario{index}")
+        return _failed(index, name, exc, time.perf_counter() - start), None
 
 
 def _group_key(runnable):
-    """The batching key of one framework-shaped runnable.
+    """The batching key of one runnable (a live framework or a replay).
 
     Grouping is defined by *configuration*, not object identity: the
     structure-keyed assembly cache stamps every network it hands out
@@ -177,13 +216,12 @@ class Runner:
             )
         self.trace_stride = trace_stride
         if trace_store is not None:
-            from repro.trace.store import TraceStore
-
             if trace_store is True:
                 trace_store = TraceStore()
             elif not isinstance(trace_store, TraceStore):
                 trace_store = TraceStore(trace_store)
         self.trace_store = trace_store
+        self._recordings = {}  # digest -> this batch's recording (_file)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -203,36 +241,67 @@ class Runner:
             data["config"] = config
         return data
 
-    def _replay_result(self, index, scenario_dict, archive, source):
-        """Replay one store hit in-process; mirrors ``_execute``."""
-        from repro.trace.replay import replay_for_scenario
+    # -- the record-once/replay-many plan -------------------------------------
+    def _plan(self, dicts):
+        """Deduplicate a batch against the trace store.
 
-        start = time.perf_counter()
-        name = scenario_dict.get("name", f"scenario{index}")
+        Returns ``(digests, hits, leaders, followers)``: each member's
+        scenario digest (``None`` without a store, or when the member
+        does not parse — it then fails on its own when it runs), the
+        store hits as ``{index: archive}``, one *leader* per unseen
+        digest that emulates and records, and the *followers* that
+        replay their leader's fresh recording.  Without a store every
+        member leads.
+        """
+        self._recordings = {}
+        if self.trace_store is None:
+            return [None] * len(dicts), {}, list(range(len(dicts))), []
+        digests, hits, leaders, followers = [], {}, [], []
+        claimed = set()
+        for index, data in enumerate(dicts):
+            try:
+                digest = scenario_trace_digest(data)
+            except Exception:
+                digest = None
+            digests.append(digest)
+            archive = self.trace_store.get(digest)
+            if archive is not None:
+                hits[index] = archive
+            elif digest is not None and digest in claimed:
+                followers.append(index)
+            else:
+                claimed.add(digest)
+                leaders.append(index)
+        return digests, hits, leaders, followers
+
+    def _file(self, recording):
+        """Keep a leader's recording for this batch's followers and put
+        it in the store.  Store I/O is best-effort: a full or read-only
+        disk is counted and logged, never a failed run."""
+        if recording is None:
+            return
+        digest = recording.scenario_digest
+        self._recordings[digest] = recording
         try:
-            scenario = Scenario.from_dict(scenario_dict)
-            player = replay_for_scenario(archive, scenario, source=source)
-            report = player.run(
-                max_emulated_seconds=scenario.max_emulated_seconds,
-                max_windows=scenario.max_windows,
-            )
-            wall = time.perf_counter() - start
-            return ScenarioResult(
-                name=scenario.name,
-                index=index,
-                report=report,
-                wall_seconds=wall,
-                trace=player.trace if self.capture_trace else None,
-            )
-        except Exception as exc:
-            wall = time.perf_counter() - start
-            return ScenarioResult(
-                name=name,
-                index=index,
-                wall_seconds=wall,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=traceback_module.format_exc(),
-            )
+            self.trace_store.put(recording)
+        except OSError as exc:
+            obs_catalog.counter("repro_store_put_errors_total").inc()
+            _log.warning("trace store put of %s failed: %s", digest, exc)
+
+    def _recording(self, digest):
+        """A follower's archive: its leader's recording from this batch,
+        else the store's copy, else ``None`` (the leader failed)."""
+        if digest not in self._recordings:
+            self._recordings[digest] = self.trace_store.get(digest)
+        return self._recordings[digest]
+
+    @property
+    def _source(self):
+        """Provenance label replays carry for the store."""
+        store = self.trace_store
+        if store is None:
+            return None
+        return "memory" if store.in_memory else str(store.root)
 
     # -- observability ---------------------------------------------------------
     def _observe_batch(self, results, wall_s, kind):
@@ -283,106 +352,48 @@ class Runner:
         order.  Items may be :class:`Scenario` objects or raw dicts.
 
         With a trace store, scenarios are deduplicated by their
-        canonical digest before anything runs: store hits replay
-        immediately, exactly one *leader* per unseen digest emulates
-        (and records), and the remaining *followers* replay the
-        leader's fresh recording — so a 16-variant thermal sweep costs
-        one emulation plus 16 thermal solves, not 16 emulations.
+        canonical digest before anything runs (:meth:`_plan`): store
+        hits replay in-process, exactly one *leader* per unseen digest
+        emulates (and records) on the worker pool, and the remaining
+        *followers* replay the leader's fresh recording — so a
+        16-variant thermal sweep costs one emulation plus 16 thermal
+        solves, not 16 emulations.  A follower whose leader failed to
+        record runs live: its thermal side differs, so the failure may
+        not repeat.
         """
         start = time.perf_counter()
-        results = self._run(scenarios)
-        self._observe_batch(results, time.perf_counter() - start, "run")
-        return results
-
-    def _run(self, scenarios):
         dicts = [
             self._scenario_dict(item, index)
             for index, item in enumerate(scenarios)
         ]
-        if not dicts:
-            return []
-        if self.trace_store is None:
-            raw = self._run_payloads(
-                [(i, d, self.capture_trace, False) for i, d in enumerate(dicts)]
-            )
-            return [self._result_of(r) for r in sorted(raw)]
-
-        from repro.trace.store import scenario_trace_digest
-
-        store = self.trace_store
-        source = "memory" if store.in_memory else str(store.root)
+        digests, hits, leaders, followers = self._plan(dicts)
+        trace, source = self.capture_trace, self._source
         results = [None] * len(dicts)
-        digests = []
-        for data in dicts:
-            try:
-                digests.append(scenario_trace_digest(data))
-            except Exception:
-                # Unparseable scenario: let _execute produce its error
-                # result; it just can't participate in replay dedup.
-                digests.append(None)
-        leaders, followers = [], []
-        claimed = set()
-        for index, (data, digest) in enumerate(zip(dicts, digests)):
-            archive = store.get(digest)
-            if archive is not None:
-                results[index] = self._replay_result(
-                    index, data, archive, source
-                )
-            elif digest is not None and digest in claimed:
-                followers.append(index)
-            else:
-                claimed.add(digest)
-                leaders.append(index)
-        raw = self._run_payloads(
-            [(i, dicts[i], self.capture_trace, True) for i in leaders]
-        )
-        fresh = {}  # digest -> archive, so followers skip disk re-loads
-        for row in raw:
-            index, archive = row[0], row[7]
-            results[index] = self._result_of(row)
-            if archive is not None:
-                fresh[archive.scenario_digest] = archive
-                try:
-                    store.put(archive)
-                except OSError:
-                    pass  # a full disk must not fail the run
+        for index, archive in hits.items():
+            results[index], _ = _execute(
+                (index, dicts[index], trace, False, archive, source)
+            )
+        for result, recording in self._run_payloads([
+            (index, dicts[index], trace, digests[index] is not None, None,
+             source)
+            for index in leaders
+        ]):
+            results[result.index] = result
+            self._file(recording)
         for index in followers:
-            archive = fresh.get(digests[index])
-            if archive is None:
-                archive = store.get(digests[index])
-            if archive is None:
-                # The leader failed to record (its error is its own
-                # result); the follower still runs live — its thermal
-                # side differs, so the failure may not repeat.
-                row = _execute((index, dicts[index], self.capture_trace, False))
-                results[index] = self._result_of(row)
-            else:
-                results[index] = self._replay_result(
-                    index, dicts[index], archive, source
-                )
+            results[index], _ = _execute(
+                (index, dicts[index], trace, False,
+                 self._recording(digests[index]), source)
+            )
+        self._observe_batch(results, time.perf_counter() - start, "run")
         return results
 
     def _run_payloads(self, payloads):
-        if not payloads:
-            return []
-        if self.workers <= 1 or len(payloads) == 1:
+        if self.workers <= 1 or len(payloads) <= 1:
             return [_execute(p) for p in payloads]
         ctx = multiprocessing.get_context(self.start_method)
         with ctx.Pool(processes=min(self.workers, len(payloads))) as pool:
             return pool.map(_execute, payloads)
-
-    @staticmethod
-    def _result_of(row):
-        index, name, report_dict, wall, error, tb, trace, _archive = row
-        return ScenarioResult(
-            name=name,
-            index=index,
-            report=RunReport.from_dict(report_dict) if report_dict else None,
-            wall_seconds=wall,
-            error=error,
-            traceback=tb,
-            trace=trace,
-        )
 
     # -- batched thermal solving ----------------------------------------------
     def run_batched(self, scenarios, library=None):
@@ -399,12 +410,13 @@ class Runner:
         integration, which carries CachedLU's bounded linearization
         error (exact for linear stacks).
 
-        With a trace store, members are first deduplicated by scenario
-        digest exactly like :meth:`run`: store hits and in-batch
-        followers become :class:`~repro.trace.replay.ReplaySource`
+        With a trace store, members follow the same plan as :meth:`run`:
+        store hits become :class:`~repro.trace.replay.ReplaySource`
         members (no platform, no workload — just the recorded stream
-        driving the shared solve), leaders emulate with a capture
-        attached and are filed into the store when their group ends.
+        driving the shared solve) co-stepped beside the leaders, which
+        emulate with a capture attached and are filed into the store
+        when their group ends; followers then co-step over the leaders'
+        recordings.
 
         Results return in input order.  ``wall_seconds`` of each member
         is its *group's* wall time (the solves are genuinely shared); a
@@ -412,111 +424,49 @@ class Runner:
         group as failed.
         """
         start = time.perf_counter()
-        results = self._run_batched(scenarios, library=library)
+        dicts = [
+            self._scenario_dict(item, index)
+            for index, item in enumerate(scenarios)
+        ]
+        digests, hits, leaders, followers = self._plan(dicts)
+        results = [None] * len(dicts)
+        self._run_groups(
+            [
+                (index, hits.get(index),
+                 index not in hits and digests[index] is not None)
+                for index in sorted([*hits, *leaders])
+            ],
+            dicts, results, library,
+        )
+        self._run_groups(
+            [
+                (index, self._recording(digests[index]), False)
+                for index in followers
+            ],
+            dicts, results, library,
+        )
         self._observe_batch(results, time.perf_counter() - start, "batched")
         return results
 
-    def _run_batched(self, scenarios, library=None):
-        scenarios = list(scenarios)
-        results = [None] * len(scenarios)
-        store = self.trace_store
-        source = None
-        digests = [None] * len(scenarios)
-        if store is not None:
-            from repro.trace.store import scenario_trace_digest
-
-            source = "memory" if store.in_memory else str(store.root)
-
+    def _run_groups(self, members, dicts, results, library):
+        """Prepare ``members`` (``(index, archive, record)`` triples),
+        group them by network structure, co-step every group, fill
+        ``results`` and file the recordings."""
         groups = defaultdict(list)
-        followers = []
-        captures = {}
-        claimed = set()
-        parsed = {}
-        for index, item in enumerate(scenarios):
-            if isinstance(item, Scenario):
-                name = item.name
-            else:
-                item = dict(item)
-                name = item.get("name", f"scenario{index}")
+        for index, archive, record in members:
+            data = dicts[index]
             try:  # the batch survives one bad scenario
-                data = self._scenario_dict(item, index)
                 scenario = Scenario.from_dict(data)
-                parsed[index] = scenario
-                if store is not None:
-                    digests[index] = scenario_trace_digest(data)
-                    archive = store.get(digests[index])
-                    if archive is not None:
-                        from repro.trace.replay import replay_for_scenario
-
-                        player = replay_for_scenario(
-                            archive, scenario, source=source
-                        )
-                        groups[_group_key(player)].append(
-                            (index, scenario, player)
-                        )
-                        continue
-                    if digests[index] in claimed:
-                        followers.append(index)
-                        continue
-                    claimed.add(digests[index])
-                framework = scenario.build(library=library)
-                if store is not None:
-                    from repro.trace.capture import PowerTraceCapture
-
-                    captures[index] = framework.attach_capture(
-                        PowerTraceCapture()
-                    )
-                groups[_group_key(framework)].append(
-                    (index, scenario, framework)
+                runnable, capture = _prepare(
+                    scenario, archive, record, library, self._source
                 )
             except Exception as exc:
-                results[index] = ScenarioResult(
-                    name=name,
-                    index=index,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback_module.format_exc(),
-                )
+                name = data.get("name", f"scenario{index}")
+                results[index] = _failed(index, name, exc)
                 continue
-        self._run_groups(groups, results, captures, store)
-
-        if followers:
-            replay_groups = defaultdict(list)
-            loaded = {}  # digest -> archive, one disk load per digest
-            for index in followers:
-                scenario = parsed[index]
-                digest = digests[index]
-                if digest not in loaded:
-                    loaded[digest] = store.get(digest)
-                archive = loaded[digest]
-                try:
-                    if archive is None:
-                        # Leader never recorded (it failed); run live —
-                        # this member's thermal side may still succeed.
-                        framework = scenario.build(library=library)
-                        replay_groups[_group_key(framework)].append(
-                            (index, scenario, framework)
-                        )
-                        continue
-                    from repro.trace.replay import replay_for_scenario
-
-                    player = replay_for_scenario(
-                        archive, scenario, source=source
-                    )
-                    replay_groups[_group_key(player)].append(
-                        (index, scenario, player)
-                    )
-                except Exception as exc:
-                    results[index] = ScenarioResult(
-                        name=scenario.name,
-                        index=index,
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback_module.format_exc(),
-                    )
-            self._run_groups(replay_groups, results, {}, None)
-        return results
-
-    def _run_groups(self, groups, results, captures, store):
-        """Co-step every group, fill ``results``, file recordings."""
+            groups[_group_key(runnable)].append(
+                (index, scenario, runnable, capture)
+            )
         for group in groups.values():
             start = time.perf_counter()
             completed = set()
@@ -527,7 +477,9 @@ class Runner:
                 error = f"{type(exc).__name__}: {exc}"
                 tb = traceback_module.format_exc()
             wall = time.perf_counter() - start
-            for position, (index, scenario, runnable) in enumerate(group):
+            for position, (index, scenario, runnable, capture) in enumerate(
+                group
+            ):
                 # A member that had already reached its bounds *before*
                 # the failing window completed normally and keeps its
                 # report; everyone else (including a member whose
@@ -537,18 +489,13 @@ class Runner:
                 report = None
                 if not member_error:
                     report = runnable.report()
-                    capture = captures.get(index)
-                    if capture is not None and store is not None:
+                    if capture is not None:
                         # Assembly errors propagate (they are bugs, and
                         # masking them would silently disable replay);
                         # only store I/O is best-effort.
-                        archive = capture.to_archive(
+                        self._file(capture.to_archive(
                             runnable, scenario=scenario, report=report
-                        )
-                        try:
-                            store.put(archive)
-                        except OSError:
-                            pass  # a full disk must not fail the run
+                        ))
                 results[index] = ScenarioResult(
                     name=scenario.name,
                     index=index,
@@ -572,17 +519,17 @@ class Runner:
         members reach their bounds at a window boundary, so the caller
         knows who finished cleanly even if a later window raises.
         Members may be live :class:`EmulationFramework` instances or
-        :class:`~repro.trace.replay.ReplaySource` players — both speak
-        the same window protocol.
+        :class:`~repro.trace.replay.ReplaySource` players — both are
+        :class:`~repro.core.framework.ThermalSide` subclasses.
         """
-        frameworks = [framework for _, _, framework in group]
+        frameworks = [framework for _, _, framework, _ in group]
         bounds = [
             (
                 scenario.max_emulated_seconds,
                 scenario.max_windows,
                 scenario.max_stall_windows,
             )
-            for _, scenario, _ in group
+            for _, scenario, _, _ in group
         ]
         backend = BatchedLU().bind(frameworks[0].network)
         dt = frameworks[0].config.sampling_period_s

@@ -25,7 +25,7 @@ from repro.trace.format import (
     TraceFormatError,
     load_archive,
 )
-from repro.trace.replay import ReplaySource, replay, replay_for_scenario
+from repro.trace.replay import ReplaySource, replay
 from repro.trace.store import (
     DEFAULT_STORE_DIR,
     TraceStore,
@@ -45,6 +45,5 @@ __all__ = [
     "load_archive",
     "record",
     "replay",
-    "replay_for_scenario",
     "scenario_trace_digest",
 ]

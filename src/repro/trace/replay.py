@@ -1,15 +1,14 @@
 """Driving the SW thermal side straight from a recorded archive.
 
-A :class:`ReplaySource` is deliberately *framework-shaped*: it exposes
-the same window protocol as
-:class:`~repro.core.framework.EmulationFramework` (``_window_power`` /
-``_window_commit`` / ``bounds_reached`` / ``report`` plus the
-``solver``/``network``/``config``/``trace`` attributes), so everything
-downstream of the dispatcher boundary — serial stepping, the batched
-multi-RHS co-step in :meth:`repro.scenario.runner.Runner.run_batched`,
-trace capture itself — works identically whether the power stream comes
-from a live emulated platform or from a
-:class:`~repro.trace.format.TraceArchive`.
+A :class:`ReplaySource` is a :class:`~repro.core.framework.ThermalSide`,
+the same SW thermal half :class:`~repro.core.framework.EmulationFramework`
+runs on: one network/solver/sensor build, one sample commit, one set of
+run bounds, one run loop.  Only the power source differs — a recorded
+:class:`~repro.trace.format.TraceArchive` instead of a live emulated
+platform — so everything downstream of the dispatcher boundary (serial
+stepping, the batched multi-RHS co-step in
+:meth:`repro.scenario.runner.Runner.run_batched`, trace capture itself)
+works identically for both.
 
 What replay recomputes is exactly the SW half of Figure 5: RC-network
 integration, component readout, sensor crossings.  The HW half
@@ -27,11 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.framework import FrameworkConfig, RunReport
-from repro.core.stats import ThermalTrace, TraceSample
-from repro.thermal.rc_network import network_for
-from repro.thermal.sensors import SensorBank
-from repro.thermal.solver import ThermalSolver
+from repro.core.framework import FrameworkConfig, RunReport, ThermalSide
 from repro.trace.store import THERMAL_SIDE_KEYS
 
 
@@ -90,28 +85,20 @@ def replay_config(archive, config=None):
     return FrameworkConfig.from_dict(merged)
 
 
-class ReplaySource:
+class ReplaySource(ThermalSide):
     """One replayable run: a recorded boundary stream + a fresh SW side."""
 
     def __init__(self, archive, config=None, floorplan=None, properties=None,
                  source=None):
         archive.validate()
         self.archive = archive
-        self.config = replay_config(archive, config)
-        self.floorplan = _resolve_floorplan(floorplan, archive)
         self.properties = properties
         self.source = source  # provenance label ("memory", a store path…)
-        cfg = self.config
-
-        self.network = network_for(
-            self.floorplan,
-            mode=cfg.grid_mode,
-            refine_critical=cfg.refine_critical,
-            die_resolution=cfg.die_resolution,
-            spreader_resolution=cfg.spreader_resolution,
+        super().__init__(
+            _resolve_floorplan(floorplan, archive),
+            replay_config(archive, config),
             properties=properties,
         )
-        self.grid = self.network.grid
         recorded = set(archive.components)
         present = set(self.network.component_names)
         if recorded != present:
@@ -129,25 +116,7 @@ class ReplaySource:
             [archive.components.index(name)
              for name in self.network.component_names]
         )
-        self.solver = ThermalSolver(
-            self.network,
-            initial_temperature=cfg.initial_temperature_kelvin,
-            backend=cfg.solver_backend,
-        )
-        monitored = cfg.monitored_components
-        if monitored is None:
-            monitored = [c.name for c in self.floorplan.active_components()]
-        self.sensors = SensorBank(
-            monitored,
-            upper_kelvin=cfg.sensor_upper_kelvin,
-            lower_kelvin=cfg.sensor_lower_kelvin,
-        )
-        self.trace = ThermalTrace()
-        self.windows = 0
-        self.stall_windows = 0  # interface parity; replay never stalls
         self._time = 0.0
-        self._peak_temp_k = float("nan")
-        self._final_temp_k = float("nan")
 
     # -- the replayed closed loop -----------------------------------------
     @property
@@ -155,25 +124,13 @@ class ReplaySource:
         return self.archive.windows
 
     @property
-    def exhausted(self):
+    def done(self):
+        """The recording's end acts as the workload-done condition."""
         return self.windows >= self.recorded_windows
 
     @property
     def emulated_seconds(self):
         return self._time
-
-    def bounds_reached(self, max_emulated_seconds=None, max_windows=None,
-                       max_stall_windows=None):
-        """Same contract as the framework's; the recording's end acts as
-        the workload-done condition."""
-        if self.exhausted:
-            return True
-        if (
-            max_emulated_seconds is not None
-            and self._time >= max_emulated_seconds - 1e-12
-        ):
-            return True
-        return max_windows is not None and self.windows >= max_windows
 
     def _window_power(self):
         """Inject the next recorded power vector; no platform runs."""
@@ -183,52 +140,29 @@ class ReplaySource:
                 f"recording exhausted after {self.recorded_windows} windows"
             )
         watts = self.archive.power_w[index]
-        # Same product set_power computes, on the recording's float64
-        # values — the root of bit-for-bit replay fidelity.
-        self.network.power = self.network._injection @ watts[self._column_of]
         powers = {
             name: float(watts[column])
             for name, column in zip(
                 self.network.component_names, self._column_of
             )
         }
+        # set_power rebuilds exactly the recorded float64 vector — the
+        # root of bit-for-bit replay fidelity.
+        self.network.set_power(powers)
         return powers, float(self.archive.frequency_hz[index])
 
     def _window_commit(self, powers, frequency):
-        """Mirror of the framework's commit: sensors, trace, bookkeeping."""
-        index = self.windows
+        """Sensors and trace at the recorded window's end time."""
         temps = self.solver.component_temperatures()
-        now = float(self.archive.time_s[index])
-        self._time = now
+        self._time = now = float(self.archive.time_s[self.windows])
         transitions = self.sensors.update(temps, now)
-        sample = TraceSample(
-            time_s=now,
-            frequency_hz=frequency,
-            total_power_w=sum(powers.values()),
-            max_temp_k=max(temps.values()),
-            component_temps=temps,
-            events=tuple(sorted(transitions.items())),
-        )
-        if not (index % self.config.trace_stride):
-            self.trace.append(sample)
-        if not (self._peak_temp_k >= sample.max_temp_k):  # NaN-aware max
-            self._peak_temp_k = sample.max_temp_k
-        self._final_temp_k = sample.max_temp_k
-        self.windows += 1
-        return sample
+        return self._commit_sample(now, powers, frequency, temps, transitions)
 
     def step_window(self):
         """Replay exactly one recorded sampling window."""
         powers, frequency = self._window_power()
         self.solver.step_be(self.config.sampling_period_s)
         return self._window_commit(powers, frequency)
-
-    def run(self, max_emulated_seconds=None, max_windows=None,
-            max_stall_windows=None):
-        """Replay to the recording's end (or an earlier bound)."""
-        while not self.bounds_reached(max_emulated_seconds, max_windows):
-            self.step_window()
-        return self.report()
 
     # -- reporting ---------------------------------------------------------
     def overrides(self):
@@ -267,8 +201,7 @@ class ReplaySource:
         actually observed.
         """
         recorded = self.archive.metadata.get("report") or {}
-        complete = self.exhausted and self.windows == self.recorded_windows
-        if complete and recorded:
+        if self.done and recorded:
             base = RunReport.from_dict(recorded)
         else:
             frequencies = self.archive.frequency_hz[: max(self.windows, 1)]
@@ -316,16 +249,3 @@ def replay(archive, config=None, floorplan=None, properties=None,
     )
     report = player.run(max_windows=max_windows)
     return player, report
-
-
-def replay_for_scenario(archive, scenario, source=None):
-    """A :class:`ReplaySource` configured by a *requesting* scenario —
-    the runner's transparent-replay entry point: the scenario's own
-    thermal knobs (and floorplan) apply, the recording supplies the
-    boundary stream."""
-    return ReplaySource(
-        archive,
-        config=scenario.config,
-        floorplan=scenario.floorplan,
-        source=source,
-    )

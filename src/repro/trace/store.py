@@ -43,6 +43,8 @@ index on the next enumeration.
 import hashlib
 import json
 import pathlib
+import zipfile
+import zlib
 
 from repro.obs import catalog as obs_catalog
 from repro.trace.format import load_archive, sidecar_path
@@ -50,6 +52,11 @@ from repro.util.locking import FileLock, atomic_write_json
 
 #: Default on-disk location used by the ``python -m repro trace`` CLI.
 DEFAULT_STORE_DIR = ".repro-traces"
+
+#: What loading a torn, truncated or bit-flipped entry raises;
+#: ``ValueError`` covers bad JSON and
+#: :class:`~repro.trace.format.TraceFormatError`.
+_UNREADABLE = (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error)
 
 #: FrameworkConfig fields whose value shapes the recorded boundary
 #: stream — changing any of them changes what the HW emulation side
@@ -206,14 +213,23 @@ class TraceStore:
         return self.path_for(digest).is_file()
 
     def get(self, digest):
-        """The archive recorded under ``digest``, or ``None``."""
+        """The archive recorded under ``digest``, or ``None``.
+
+        An entry that cannot be loaded or validated (a torn write, a
+        truncated copy) is a miss: it is counted as corrupt, the caller
+        re-records, and the next :meth:`put` overwrites it."""
         if not digest:
             return None
         if self.in_memory:
             archive = self._memory.get(digest)
         else:
             path = self.path_for(digest)
-            archive = load_archive(path) if path.is_file() else None
+            archive = None
+            if path.is_file():
+                try:
+                    archive = load_archive(path)
+                except _UNREADABLE:
+                    obs_catalog.counter("repro_store_corrupt_total").inc()
         obs_catalog.counter(
             "repro_store_hits_total" if archive is not None
             else "repro_store_misses_total"

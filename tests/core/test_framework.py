@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.framework import EmulationFramework, FrameworkConfig
-from repro.core.thermal_manager import (
+from repro.policy import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     StopGoPolicy,

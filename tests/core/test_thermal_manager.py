@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.thermal_manager import (
+from repro.policy import (
     DualThresholdDfsPolicy,
     NoManagementPolicy,
     PerCoreDfsPolicy,

@@ -15,11 +15,14 @@ def quick_scenario(name="farm_job", seconds=0.5, **config_overrides):
     return scenario
 
 
-def slow_scenario(name="slow_job", seconds=600.0):
-    """A scenario that takes a few wall seconds (~0.3 s wall per 60
+def slow_scenario(name="slow_job", seconds=60.0):
+    """A scenario that takes a couple of wall seconds (~2 s for 60
     emulated s) — long enough to kill a worker mid-run
-    deterministically."""
-    return quick_scenario(name=name, seconds=seconds)
+    deterministically.  Its workload never finishes first, so the
+    emulated-seconds bound is what ends it."""
+    scenario = quick_scenario(name=name, seconds=seconds)
+    scenario.workload.params["total_iterations"] = 10**12
+    return scenario
 
 
 @pytest.fixture

@@ -37,8 +37,10 @@ EXPECTED_METRICS = [
     "repro_solver_factorizations_total",
     "repro_solver_reuses_total",
     "repro_solver_solves_total",
+    "repro_store_corrupt_total",
     "repro_store_hits_total",
     "repro_store_misses_total",
+    "repro_store_put_errors_total",
     "repro_store_puts_total",
 ]
 

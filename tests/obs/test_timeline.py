@@ -100,3 +100,13 @@ def test_render_shows_all_phases_and_total():
         assert phase in text
     assert "total" in text
     assert "other spans: run x1" in text
+
+
+def test_timeline_cli_names_a_missing_log(tmp_path, capsys):
+    from repro.obs.cli import main
+
+    missing = tmp_path / "no-such-run.jsonl"
+    with pytest.raises(FileNotFoundError):
+        RunTimeline.from_jsonl(str(missing))
+    assert main(["timeline", str(missing)]) != 0
+    assert str(missing) in capsys.readouterr().err

@@ -166,7 +166,7 @@ def test_batched_failure_keeps_finished_members_reports():
     """A mid-co-step crash fails only the unfinished group members; runs
     that had already reached their bounds keep their reports."""
     from repro.scenario.registry import POLICIES
-    from repro.core.thermal_manager import NoManagementPolicy
+    from repro.policy import NoManagementPolicy
 
     class ExplodeAfter(NoManagementPolicy):
         def react(self, sensors, vpcm, now):
@@ -195,7 +195,7 @@ def test_batched_member_failing_in_its_final_window_is_failed():
     raises must come back FAILED (matching serial semantics), not as a
     bogus zero-window success."""
     from repro.scenario.registry import POLICIES
-    from repro.core.thermal_manager import NoManagementPolicy
+    from repro.policy import NoManagementPolicy
 
     class AlwaysExplode(NoManagementPolicy):
         def react(self, sensors, vpcm, now):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.framework import FrameworkConfig, RunReport
-from repro.core.thermal_manager import DualThresholdDfsPolicy
+from repro.policy import DualThresholdDfsPolicy
 from repro.core.workload_model import ActivityProfile, ProfiledWorkload
 from repro.mpsoc import MPSoCConfig, generate_mesh
 from repro.mpsoc.bus import BusConfig

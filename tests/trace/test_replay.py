@@ -112,6 +112,18 @@ def test_mismatched_floorplan_is_rejected(stress_scenario):
         replay(archive, floorplan="4xarm7")
 
 
+def test_replay_rejects_unknown_monitored_components(stress_scenario):
+    """Replay shares the framework's sensor validation: a component the
+    floorplan does not have fails at launch, with the framework's error."""
+    _, _, archive = record(stress_scenario)
+    with pytest.raises(ValueError, match=r"monitored_components nope not in"):
+        ReplaySource(archive, config={"monitored_components": ["nope"]})
+    live = short_scenario()
+    live.config.monitored_components = ("nope",)
+    with pytest.raises(ValueError, match=r"monitored_components nope not in"):
+        live.build()
+
+
 def test_replay_respects_max_windows(stress_scenario):
     _, _, archive = record(stress_scenario)
     player, report = replay(archive, max_windows=10)
@@ -125,7 +137,7 @@ def test_exhausted_replay_raises_past_the_end(stress_scenario):
     _, _, archive = record(stress_scenario)
     player = ReplaySource(archive)
     player.run()
-    assert player.exhausted
+    assert player.done
     with pytest.raises(IndexError, match="exhausted"):
         player.step_window()
 

@@ -203,3 +203,52 @@ def test_scenario_digest_unchanged_by_runner_stride_override():
     assert scenario_trace_digest(strided_dict) == scenario_trace_digest(
         scenario
     )
+
+
+def _store_counter(name):
+    from repro.obs import catalog as obs_catalog
+
+    return obs_catalog.counter(name).value
+
+
+@pytest.mark.parametrize("method", ["run", "run_batched"])
+def test_corrupt_store_entry_is_a_miss_not_a_failed_batch(tmp_path, method):
+    variants = thermal_sweep(3)
+    clean = getattr(
+        Runner(trace_store=TraceStore(tmp_path / "clean"), capture_trace=True),
+        method,
+    )(variants)
+
+    store = TraceStore(tmp_path / "torn")
+    Runner(trace_store=store).run(variants[:1])
+    digest = scenario_trace_digest(variants[0])
+    path = store.path_for(digest)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    corrupt_before = _store_counter("repro_store_corrupt_total")
+
+    results = getattr(Runner(trace_store=store, capture_trace=True), method)(
+        variants
+    )
+    assert [r.status for r in results] == ["ok"] * 3
+    assert [r.trace.digest() for r in results] == [
+        r.trace.digest() for r in clean
+    ]
+    assert _store_counter("repro_store_corrupt_total") > corrupt_before
+    # The re-recording overwrote the torn entry.
+    assert store.get(digest) is not None
+
+
+@pytest.mark.parametrize("method", ["run", "run_batched"])
+def test_failed_store_put_is_counted_not_fatal(monkeypatch, method):
+    store = TraceStore()
+
+    def full_disk(archive):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(store, "put", full_disk)
+    errors_before = _store_counter("repro_store_put_errors_total")
+    results = getattr(Runner(trace_store=store), method)(thermal_sweep(2))
+    assert [r.status for r in results] == ["ok", "ok"]
+    # The follower still replayed the leader's unfiled recording.
+    assert [r.replayed for r in results] == [False, True]
+    assert _store_counter("repro_store_put_errors_total") == errors_before + 1
