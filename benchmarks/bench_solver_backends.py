@@ -6,7 +6,9 @@ registered backend over the same deterministic power schedule on grids
 from the paper's coarse co-emulation size (~30 cells) up past its
 660-cell fine-grid claim, and reports windows/sec, the speedup over the
 ``sparse_be`` reference, and the factorization counts that explain it.
-A 16-column batched solve demonstrates the multi-RHS sweep path.
+A 16-column batched solve demonstrates the multi-RHS sweep path, and a
+layer table splits the exact step into its two costs per grid: assembly
+of ``C/dt + G(T)`` and the sparse factorize+solve.
 
 Check mode (``python benchmarks/bench_solver_backends.py --check``, run
 in CI) skips the timing and only asserts that every backend reproduces
@@ -18,6 +20,7 @@ import sys
 import time
 
 import numpy as np
+from scipy.sparse.linalg import spsolve
 
 from repro.thermal.backends import SOLVER_BACKENDS, BatchedLU, make_backend
 from repro.thermal.floorplan import floorplan_4xarm11, floorplan_4xarm7
@@ -123,6 +126,28 @@ def run_batched_columns(network, schedule, columns, scale_span=0.2):
     return temps, wall, backend, scales
 
 
+def exact_step_layers(network, schedule):
+    """Mean µs per exact step spent in (assembly, factorize+solve).
+
+    Replays the ``sparse_be`` step with a timer around each layer; the
+    one-time assembly plan is built before the clock starts.
+    """
+    net = network.clone()
+    net.assembly_plan()
+    c_over_dt = net.capacitance / DT
+    t = np.full(net.num_cells, net.properties.ambient)
+    assembly = solve = 0.0
+    for powers in schedule:
+        net.set_power(powers)
+        start = time.perf_counter()
+        a = net.system_matrix(t, c_over_dt)
+        built = time.perf_counter()
+        t = spsolve(a, c_over_dt * t + net.rhs())
+        solve += time.perf_counter() - built
+        assembly += built - start
+    return 1e6 * assembly / len(schedule), 1e6 * solve / len(schedule)
+
+
 def check(windows=DEFAULT_WINDOWS, out=print):
     """Assert every backend reproduces the reference run (no timing)."""
     for label, factory in GRIDS:
@@ -163,10 +188,23 @@ def bench(windows=DEFAULT_WINDOWS):
         ["grid", "cells", "backend", "windows/s", "speedup", "factorizations"],
         title=f"Solver backend throughput ({windows} windows of {DT * 1e3:.0f} ms)",
     )
+    layers = Table(
+        ["grid", "cells", "assembly us/step", "factorize+solve us/step",
+         "solve share"],
+        title="Exact sparse_be step by layer",
+    )
     default_speedups = {}
     for grid_index, (label, factory) in enumerate(GRIDS):
         network = factory()
         schedule = power_schedule(network, windows)
+        assembly_us, solve_us = exact_step_layers(network, schedule)
+        layers.add_row(
+            label,
+            network.num_cells,
+            f"{assembly_us:,.0f}",
+            f"{solve_us:,.0f}",
+            f"{solve_us / (assembly_us + solve_us):.0%}",
+        )
         baseline = None
         names = ["sparse_be"] + [
             n for n in SOLVER_BACKENDS.names() if n != "sparse_be"
@@ -194,6 +232,8 @@ def bench(windows=DEFAULT_WINDOWS):
     _, batch_wall, backend, _ = run_batched_columns(network, schedule, columns=16)
     lines = [
         str(table),
+        "",
+        str(layers),
         "",
         f"batched sweep (16 columns, {GRIDS[0][0]}): "
         f"{16 * windows / batch_wall:,.0f} scenario-windows/s in one multi-RHS "

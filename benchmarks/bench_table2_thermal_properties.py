@@ -35,7 +35,7 @@ def test_table2_nonlinear_assembly_cost(benchmark, report):
         spreader_resolution=(18, 18),
     )
     t = np.full(net.num_cells, 330.0)
-    benchmark(net.conductance_matrix, t)
+    benchmark(net.system_matrix, t, 0.0)
     report(
         "table2_assembly_cost",
         f"G(T) assembly on {net.num_cells} cells: "

@@ -13,6 +13,7 @@ The SW thermal half of that loop (network, solve, sensors, trace) is
 which feeds it recorded power instead of a live platform.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -57,20 +58,21 @@ class FrameworkConfig:
     tech_node: str | dict | None = None  # see repro.power.models.TECH_NODES
 
     def __post_init__(self):
-        if self.sampling_period_s <= 0:
-            raise ValueError("sampling period must be positive")
-        if self.virtual_hz <= 0:
-            raise ValueError("initial virtual frequency must be positive")
-        if self.physical_hz <= 0:
-            raise ValueError("physical board frequency must be positive")
-        if (
-            self.initial_temperature_kelvin is not None
-            and self.initial_temperature_kelvin <= 0
+        # ``x <= 0`` is False for NaN, so finiteness is checked first.
+        for field_name, label in (
+            ("sampling_period_s", "sampling period"),
+            ("virtual_hz", "initial virtual frequency"),
+            ("physical_hz", "physical board frequency"),
+            ("initial_temperature_kelvin", "initial temperature"),
         ):
-            raise ValueError(
-                f"initial temperature must be positive kelvin, "
-                f"got {self.initial_temperature_kelvin}"
-            )
+            value = getattr(self, field_name)
+            if value is None and field_name == "initial_temperature_kelvin":
+                continue
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(
+                    f"{label} ({field_name}) must be positive and finite, "
+                    f"got {value}"
+                )
         self._validate_solver_backend()
         self._validate_emulation_backend()
         self._validate_tech_node()

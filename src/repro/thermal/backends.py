@@ -8,9 +8,10 @@ Three strategies for that solve, all behind one :class:`SolverBackend`
 interface and resolvable by name through :data:`SOLVER_BACKENDS`:
 
 ``sparse_be`` (:class:`SparseBE`)
-    The reference: re-assemble ``G(T_n)`` and run a fresh sparse
-    factorization every step.  Exact semi-implicit behaviour, and the
-    baseline every other backend is tested against.
+    The reference: refill ``C/dt + G(T_n)`` into the network's fixed
+    CSC pattern (:class:`repro.thermal.rc_network.AssemblyPlan`) and run
+    a fresh sparse factorization every step.  Exact semi-implicit
+    behaviour, and the baseline every other backend is tested against.
 
 ``cached_lu`` (:class:`CachedLU`)
     Factorize ``A = C/dt + G(T_ref)`` once and reuse the LU factors
@@ -32,12 +33,14 @@ interface and resolvable by name through :data:`SOLVER_BACKENDS`:
     The shared reference temperature is the batch column mean, refreshed
     under the same drift tolerance.
 
-Backends carry ``factorizations`` / ``solves`` counters so benchmarks
-and tests can assert the reuse actually happens.
+Every backend gets its matrix from
+:meth:`~repro.thermal.rc_network.RCNetwork.system_matrix`, so all of
+them factorize the same bits for the same temperatures.  Backends carry
+``factorizations`` / ``solves`` counters so benchmarks and tests can
+assert the reuse actually happens.
 """
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import factorized, spsolve
 
 from repro.util.registry import Registry
@@ -95,10 +98,11 @@ class SolverBackend:
         c_over_dt = net.capacitance / dt
         for col in range(temperatures.shape[1]):
             t = temperatures[:, col]
-            a = net.conductance_matrix(t) + sparse.diags(c_over_dt)
             self.factorizations += 1
             self.solves += 1
-            out[:, col] = spsolve(a.tocsc(), c_over_dt * t + rhs[:, col])
+            out[:, col] = spsolve(
+                net.system_matrix(t, c_over_dt), c_over_dt * t + rhs[:, col]
+            )
         return out
 
     def stats(self):
@@ -107,18 +111,17 @@ class SolverBackend:
 
 @SOLVER_BACKENDS.register("sparse_be")
 class SparseBE(SolverBackend):
-    """Reference backend: assemble and factorize from scratch each step."""
+    """Reference backend: refill the matrix and factorize every step."""
 
     name = "sparse_be"
 
     def step(self, temperatures, dt):
         net = self.network
         c_over_dt = net.capacitance / dt
-        a = net.conductance_matrix(temperatures) + sparse.diags(c_over_dt)
         b = c_over_dt * temperatures + net.rhs()
         self.factorizations += 1
         self.solves += 1
-        return spsolve(a.tocsc(), b)
+        return spsolve(net.system_matrix(temperatures, c_over_dt), b)
 
 
 @SOLVER_BACKENDS.register("cached_lu")
@@ -160,8 +163,7 @@ class CachedLU(SolverBackend):
     def _refactor(self, t_ref, dt):
         net = self.network
         self._c_over_dt = net.capacitance / dt
-        a = net.conductance_matrix(t_ref) + sparse.diags(self._c_over_dt)
-        self._solve = factorized(a.tocsc())
+        self._solve = factorized(net.system_matrix(t_ref, self._c_over_dt))
         self._dt = dt
         self._t_ref = np.array(t_ref, dtype=float, copy=True)
         self.factorizations += 1

@@ -22,6 +22,14 @@ Boundary conditions (Section 5.2):
 Every cell interacts only with its neighbours, so assembly and solve
 cost are linear in the number of cells (sparse matrices).
 
+The sparsity pattern of ``C/dt + G(T)`` never changes with temperature,
+so :class:`AssemblyPlan` lays it out once per structure (lazily, on the
+first solve, and shared by every clone): each step then only fills the
+CSC ``data`` array from the edge conductances.  The plan repeats the
+exact additions, in the exact order, of building the matrix through
+scipy's COO -> CSR -> plus diagonal -> CSC route, so the matrix handed
+to the factorization is bit-identical to that route's.
+
 Power injection and component readout are precomputed sparse maps:
 ``set_power`` is one matrix-vector product ``P = M_inj @ w`` over the
 component wattage vector, and per-component mean temperatures are one
@@ -42,12 +50,134 @@ from repro.thermal.grid import LAYER_DIE, build_grid
 from repro.thermal.properties import silicon_conductivity
 
 
+#: Longest sum padded together with the others.  A die cell's diagonal
+#: sums a handful of neighbours; a coarse spreader cell over a fine die
+#: sums one term per die cell beneath it (147 for 24x24 under 2x2).
+_WIDE_SUM = 32
+
+
+class AssemblyPlan:
+    """The fixed CSC layout of ``C/dt + G(T)`` for one network structure.
+
+    Every contribution to the matrix is one entry of the value vector
+    ``[-g, g, g_ambient, -0.0]`` (``g`` the edge conductances): edge
+    ``e = (i, j)`` adds ``-g[e]`` at ``(i, j)`` and ``(j, i)`` and
+    ``g[e]`` at ``(i, i)`` and ``(j, j)``; cell ``k`` adds
+    ``g_ambient[k]`` at ``(k, k)``.  The plan records which
+    contributions scipy's COO -> CSR conversion sums into each slot, and
+    in which order:
+
+    * COO -> CSR buckets entries by row in input order, then
+      ``sort_indices`` orders each row by column.  That sort is not
+      stable, so the plan runs the very same sort on contribution ids
+      instead of re-deriving its tie order.
+    * ``sum_duplicates`` adds each run of equal columns strictly left to
+      right; :meth:`matrix` does the same with ``np.add.accumulate``
+      (``np.sum`` and ``np.add.reduceat`` are pairwise, so they would
+      round differently).
+    * adding the diagonal ``C/dt`` matrix adds ``C/dt`` to each summed
+      diagonal entry, and the CSR -> CSC conversion only moves values.
+    """
+
+    def __init__(self, edge_i, edge_j, num_cells):
+        n, m = num_cells, len(edge_i)
+        cells = np.arange(n)
+        edges = np.arange(m)
+        rows = np.concatenate([edge_i, edge_j, edge_i, edge_j, cells])
+        cols = np.concatenate([edge_j, edge_i, edge_i, edge_j, cells])
+        source = np.concatenate(
+            [edges, edges, m + edges, m + edges, 2 * m + cells]
+        )
+        # COO -> CSR: each row's entries in input order, then scipy's own
+        # per-row column sort, run with contribution ids as the data.
+        order = np.argsort(rows, kind="stable")
+        row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        tagged = sparse.csr_matrix(
+            (order.astype(float), cols[order], row_ptr), shape=(n, n)
+        )
+        tagged.sort_indices()
+        contribution = tagged.data.astype(np.int64)
+        row, col = rows[contribution], tagged.indices
+        # sum_duplicates: each run of equal (row, col) is one slot.
+        starts = np.flatnonzero(
+            np.concatenate([[True], (row[1:] != row[:-1]) | (col[1:] != col[:-1])])
+        )
+        lengths = np.diff(np.append(starts, len(col)))
+        slot_row, slot_col = row[starts], col[starts]
+        # CSR -> CSC: slots by column, rows ascending within each column.
+        csc = np.lexsort((slot_row, slot_col))
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(slot_col, minlength=n))]
+        ).astype(np.int32)
+        self.indices = slot_row[csc].astype(np.int32)
+        self.nnz = len(csc)
+        # Columns ascend, so the diagonal positions come in cell order.
+        self._diagonal = np.flatnonzero(slot_row[csc] == slot_col[csc])
+        # Every matrix shares the pattern arrays: make them read-only.
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+        # Steps copy this template and swap in their data: constructing a
+        # fresh csc_matrix would re-validate the fixed pattern every step.
+        self._template = sparse.csc_matrix(
+            (np.zeros(self.nnz), self.indices, self.indptr), shape=(n, n)
+        )
+        self._template.sum_duplicates()  # caches the canonical-format flag
+        self._tiers = self._pad_tiers(
+            source[contribution], starts[csc], lengths[csc], pad=2 * m + n
+        )
+
+    @staticmethod
+    def _pad_tiers(summed, seg_start, seg_len, pad):
+        """Group the CSC slots into rectangular ``(width, slots)`` index
+        blocks, each slot's contributions down one column, padded with
+        the ``-0.0`` entry.
+
+        Single-contribution slots (off-diagonals) form a block of width
+        one, and sums longer than :data:`_WIDE_SUM` a block of their
+        own, so the few wide spreader diagonals do not pad every other
+        sum to their width.
+        """
+        tiers = []
+        for group in (
+            seg_len == 1,
+            (seg_len > 1) & (seg_len <= _WIDE_SUM),
+            seg_len > _WIDE_SUM,
+        ):
+            positions = np.flatnonzero(group)
+            if not len(positions):
+                continue
+            depth = np.arange(seg_len[positions].max())[:, None]
+            valid = depth < seg_len[positions]
+            flat = np.where(valid, seg_start[positions] + depth, 0)
+            tiers.append((positions, np.where(valid, summed[flat], pad)))
+        return tiers
+
+    def matrix(self, g, g_ambient, c_over_dt):
+        """``C/dt + G`` as a CSC matrix, from the edge conductances ``g``,
+        the ambient conductances and ``c_over_dt`` (per cell, or a
+        scalar such as 0)."""
+        # The trailing -0.0 is the pad: ``x + -0.0 == x`` for every x,
+        # signed zeros included, so padding never changes a sum's bits.
+        values = np.concatenate((-g, g, g_ambient, [-0.0]))
+        data = np.empty(self.nnz)
+        for positions, index in self._tiers:
+            data[positions] = np.add.accumulate(values[index], axis=0)[-1]
+        data[self._diagonal] += c_over_dt
+        matrix = copy.copy(self._template)
+        matrix.data = data
+        return matrix
+
+
 class RCNetwork:
     """Sparse thermal RC network over a :class:`repro.thermal.grid.Grid`."""
 
     #: process-wide count of full assemblies (clones don't count) — lets
     #: tests assert that a sweep shared one assembly across B scenarios.
     assemblies = 0
+
+    #: process-wide count of :class:`AssemblyPlan` builds — lets tests
+    #: assert that clones share one plan and unsolved networks build none.
+    plans_built = 0
 
     #: content key of the structure this network was assembled from
     #: (set by :func:`network_for`; ``None`` for direct/custom-property
@@ -165,6 +295,10 @@ class RCNetwork:
         # Power injection vector (set_power refreshes it).
         self.power = np.zeros(n)
 
+        # Holder for the lazily built AssemblyPlan.  Clones are shallow
+        # copies, so they share this list and therefore the one plan.
+        self._plan = [None]
+
     # -- power -----------------------------------------------------------------
     def watts_vector(self, component_powers):
         """A ``{component: watts}`` map as a vector in
@@ -226,15 +360,23 @@ class RCNetwork:
         r = self.geom_i / k[self.edge_i] + self.geom_j / k[self.edge_j]
         return 1.0 / r
 
-    def conductance_matrix(self, temperatures):
-        """Sparse G(T): graph Laplacian over the edges + ambient leakage."""
-        n = self.num_cells
-        g = self.edge_conductances(temperatures)
-        i, j = self.edge_i, self.edge_j
-        rows = np.concatenate([i, j, i, j, np.arange(n)])
-        cols = np.concatenate([j, i, i, j, np.arange(n)])
-        data = np.concatenate([-g, -g, g, g, self.g_ambient])
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    def assembly_plan(self):
+        """The structure's :class:`AssemblyPlan`, built on first use and
+        shared by every clone of this network."""
+        plan = self._plan[0]
+        if plan is None:
+            plan = AssemblyPlan(self.edge_i, self.edge_j, self.num_cells)
+            self._plan[0] = plan
+            RCNetwork.plans_built += 1
+        return plan
+
+    def system_matrix(self, temperatures, c_over_dt):
+        """``C/dt + G(T)`` as a CSC matrix; ``c_over_dt = 0`` gives the
+        sparse G(T) alone (graph Laplacian over the edges + ambient
+        leakage)."""
+        return self.assembly_plan().matrix(
+            self.edge_conductances(temperatures), self.g_ambient, c_over_dt
+        )
 
     def rhs(self):
         """Right-hand side: injected power + ambient Dirichlet term."""
@@ -253,9 +395,10 @@ class RCNetwork:
         """A new network sharing this one's immutable structure arrays.
 
         Only the per-run ``power`` vector is private; capacitances, edge
-        arrays, ambient conductances and the injection/readout matrices
-        are shared read-only.  This is what makes the assembly cache in
-        :func:`network_for` safe and cheap.
+        arrays, ambient conductances, the injection/readout matrices and
+        the (lazily built) :class:`AssemblyPlan` are shared read-only.
+        This is what makes the assembly cache in :func:`network_for`
+        safe and cheap.
         """
         twin = copy.copy(self)
         twin.power = np.zeros(self.num_cells)

@@ -14,8 +14,8 @@ Backends trade assembly/factorization work for bounded linearization
 error; choose by name (``solver_backend`` in
 :class:`repro.core.framework.FrameworkConfig`):
 
-* ``sparse_be`` — the exact reference: re-assemble ``G(T_n)`` and
-  factorize every step.
+* ``sparse_be`` — the exact reference: refill ``C/dt + G(T_n)`` into
+  the network's fixed sparsity pattern and factorize every step.
 * ``cached_lu`` — factorize once, backsolve every window, and
   **refactorize only when** ``dt`` changes or a non-linear (silicon)
   cell drifts more than ``refactor_tolerance_kelvin`` (default 1 K)
@@ -25,10 +25,14 @@ error; choose by name (``solver_backend`` in
   scenario sweeps: B runs share one factorization per window.
 
 An explicit forward-Euler path (with a stability guard) and a Picard
-steady-state solver complete the API; the calibration suite in
+steady-state solver complete the API.  Both read ``G(T)`` from the same
+fixed-pattern assembly (:meth:`RCNetwork.system_matrix` with
+``c_over_dt = 0``); the calibration suite in
 :mod:`repro.thermal.calibration` validates all three against
 closed-form solutions.
 """
+
+import math
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
@@ -51,6 +55,12 @@ __all__ = [
     "ThermalSolver",
     "make_backend",
 ]
+
+
+def _check_dt(dt):
+    # ``dt <= 0`` alone is False for NaN: reject every non-finite step.
+    if not math.isfinite(dt) or dt <= 0:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 class ThermalSolver:
@@ -76,18 +86,16 @@ class ThermalSolver:
     # -- transient -----------------------------------------------------------
     def step_be(self, dt):
         """One semi-implicit backward-Euler step of length ``dt`` seconds."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        _check_dt(dt)
         self.temperatures = self.backend.step(self.temperatures, dt)
         self.time += dt
         return self.temperatures
 
     def step_fe(self, dt):
         """One explicit forward-Euler step; raises if ``dt`` is unstable."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        _check_dt(dt)
         net = self.network
-        g = net.conductance_matrix(self.temperatures)
+        g = net.system_matrix(self.temperatures, 0.0)
         diag = g.diagonal()
         with np.errstate(divide="ignore"):
             dt_max = float(np.min(net.capacitance / np.maximum(diag, 1e-300)))
@@ -126,8 +134,7 @@ class ThermalSolver:
         net = self.network
         t = self.temperatures.copy()
         for _ in range(max_iterations):
-            g = net.conductance_matrix(t)
-            t_next = spsolve(g.tocsc(), net.rhs())
+            t_next = spsolve(net.system_matrix(t, 0.0), net.rhs())
             delta = float(np.max(np.abs(t_next - t)))
             t = t_next
             if delta < tol:

@@ -30,6 +30,7 @@ the data; a truncated or hand-edited archive fails loudly.
 """
 
 import json
+import math
 import os
 import pathlib
 from dataclasses import dataclass, field
@@ -133,9 +134,10 @@ class TraceArchive:
                 f"trace format v{version} is not supported "
                 f"(this build reads v{TRACE_FORMAT_VERSION})"
             )
-        if meta["sampling_period_s"] <= 0:
+        period = meta["sampling_period_s"]
+        if not math.isfinite(period) or period <= 0:
             raise TraceFormatError(
-                f"sampling period must be positive, "
+                f"sampling period must be positive and finite, "
                 f"got {meta['sampling_period_s']}"
             )
         components = meta["components"]

@@ -118,6 +118,22 @@ def test_config_rejects_nonpositive_initial_temperature():
     assert FrameworkConfig(initial_temperature_kelvin=345.0)
 
 
+@pytest.mark.parametrize(
+    "field_name, label",
+    [
+        ("sampling_period_s", "sampling period"),
+        ("virtual_hz", "initial virtual frequency"),
+        ("physical_hz", "physical board frequency"),
+        ("initial_temperature_kelvin", "initial temperature"),
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_values(field_name, label, value):
+    # ``value <= 0`` is False for NaN, so NaN used to slip through.
+    with pytest.raises(ValueError, match=f"{label} \\({field_name}\\).*{value}"):
+        FrameworkConfig(**{field_name: value})
+
+
 def test_config_rejects_unknown_solver_backend():
     with pytest.raises(ValueError, match="unknown solver backend"):
         FrameworkConfig(solver_backend="warp_drive")

@@ -95,6 +95,19 @@ def test_step_validates_dt():
         solver.step_fe(-1.0)
 
 
+@pytest.mark.parametrize("backend", ["sparse_be", "cached_lu", "batched_lu"])
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), float("-inf")])
+def test_step_rejects_non_finite_dt(backend, dt):
+    _, net, _ = make_solver()
+    solver = ThermalSolver(net, backend=backend)
+    for step in (solver.step_be, solver.step_fe):
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+            step(dt)
+    # The rejected step left the state untouched.
+    assert solver.time == 0.0
+    assert np.all(solver.temperatures == net.properties.ambient)
+
+
 def test_run_callback_and_time():
     _, _, solver = make_solver(power=2.0)
     seen = []

@@ -93,6 +93,14 @@ def test_shape_mismatch_rejected():
         archive.validate()
 
 
+@pytest.mark.parametrize("period", [0.0, -0.01, float("nan"), float("inf")])
+def test_bad_sampling_period_rejected(period):
+    archive = small_archive()
+    archive.metadata["sampling_period_s"] = period
+    with pytest.raises(TraceFormatError, match="sampling period"):
+        archive.validate()
+
+
 def test_duplicate_components_rejected():
     archive = small_archive(components=("cpu0", "cpu0", "mem"))
     with pytest.raises(TraceFormatError, match="unique"):
