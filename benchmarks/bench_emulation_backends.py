@@ -17,9 +17,9 @@ run in CI) asserts the equivalence harness plus the acceptance bar —
 the windowed backend must advance windows >= 10x faster than
 ``event_driven`` — without printing the full table.
 
-``--json`` persists the measurements to
-``benchmarks/results/BENCH_emulation.json`` (machine readable, committed
-so the repo carries its own perf evidence).
+``--json`` writes the measurements to
+``benchmarks/results/BENCH_emulation.json`` (machine readable).  That
+directory is not versioned; CI uploads the file as a build artifact.
 """
 
 import argparse

@@ -270,6 +270,16 @@ class ThermalSide:
     #: caller-built workload object, and for a replay).
     emulation_backend = None
 
+    #: Name of the backend that integrates the windows when it is not
+    #: this side's own solver.  The batched runner co-steps a group
+    #: through one shared backend and stamps its name here.
+    integrator = None
+
+    def integrator_name(self):
+        """The solver backend that actually integrated this run, as
+        reports record it in ``extras["integrator"]``."""
+        return self.integrator or self.solver.backend.name or "custom"
+
     def __init__(self, floorplan, config, properties=None):
         self.config = cfg = config
         self.floorplan = floorplan
@@ -568,7 +578,7 @@ class EmulationFramework(ThermalSide):
 
         # 3. Statistics stream to the host; congestion freezes the clocks.
         payload = self.sniffer_bank.window_payload_bytes()
-        self.sniffer_bank.collect_window()
+        self.sniffer_bank.drain_events()
         real_window = self.vpcm.window_real_seconds(period)
         freeze = self.dispatcher.dispatch_window(
             payload, real_window, num_sensors=len(self.sensors.sensors)
@@ -645,6 +655,7 @@ class EmulationFramework(ThermalSide):
         self._publish_metrics()
         extras = {
             "thermal_cells": self.network.num_cells,
+            "integrator": self.integrator_name(),
             "emulation_backend": self.emulation_backend,
             "timing": dict(self.timing),
         }

@@ -16,9 +16,23 @@ Two flavours, built on a common skeleton, as in the paper:
 
 FPGA overhead: 0.2 % of the V2VP30 per event-logging sniffer, 0.3 % per
 count-logging sniffer (Section 4.1); the resource model uses those.
+
+Per window the co-emulation loop needs only the payload size, which
+sets the dispatcher's Ethernet load and therefore its clock freezes.
+A count-logging record is one header plus one entry per numeric
+counter, and the counter set can change between windows (a NoC link
+carries its first flit, the windowed backend clears its link map), so
+:meth:`CountLoggingSniffer.window_payload_bytes` counts the
+component's numeric counters afresh every window with
+:func:`~repro.core.stats.count_numeric` — exactly the length of the
+flat record, without building it.  Counter deltas are computed only on
+demand: :meth:`Sniffer.collect` returns the deltas since the previous
+``collect()``.  Event-logging sniffers are still drained every window
+(:meth:`SnifferBank.drain_events`), because their payload is the
+events logged since the last drain.
 """
 
-from repro.core.stats import diff_stats, flatten_numeric
+from repro.core.stats import count_numeric, diff_stats, flatten_numeric
 
 # MMIO register map (one 16-byte window per sniffer).
 REG_ENABLE = 0x0
@@ -103,7 +117,8 @@ class CountLoggingSniffer(Sniffer):
         return sorted(self._current())
 
     def collect(self):
-        """Counter deltas since the previous window (empty if disabled)."""
+        """Counter deltas since the previous ``collect()`` (empty if
+        disabled)."""
         if not self.enabled:
             return {}
         current = self._current()
@@ -116,7 +131,8 @@ class CountLoggingSniffer(Sniffer):
             return 0
         return (
             COUNT_RECORD_HEADER_BYTES
-            + COUNT_RECORD_BYTES_PER_COUNTER * len(self._current())
+            + COUNT_RECORD_BYTES_PER_COUNTER
+            * count_numeric(self.component.stats())
         )
 
 
@@ -201,8 +217,16 @@ class SnifferBank:
         return sum(s.window_payload_bytes() for s in self.sniffers)
 
     def collect_window(self):
-        """All sniffers' records for this window, keyed by sniffer name."""
+        """All sniffers' records since their previous ``collect()``,
+        keyed by sniffer name."""
         return {s.name: s.collect() for s in self.sniffers}
+
+    def drain_events(self):
+        """End a window for the event-logging sniffers: drop the events
+        the window's payload already counted.  Count-logging sniffers
+        keep no per-window state."""
+        for sniffer in self.event_sniffers():
+            sniffer.collect()
 
     def fpga_overhead_percent(self):
         return sum(s.fpga_overhead_percent for s in self.sniffers)

@@ -40,6 +40,47 @@ def flatten_numeric(stats, prefix=""):
     return flat
 
 
+def count_numeric(stats):
+    """``len(flatten_numeric(stats))``, without building the flat dict.
+
+    Distinct numeric leaves get distinct dotted names whenever every
+    key's string form is non-empty, free of dots and unique within its
+    dict (the names then decode back to their key paths), so counting
+    the leaves is exact.  Any other key set may make names collide;
+    the count then flattens, so the result always equals the flat
+    dict's length.
+    """
+    count = _count_leaves(stats)
+    return len(flatten_numeric(stats)) if count is None else count
+
+
+def _count_leaves(stats):
+    """Numeric leaves under ``stats``, or ``None`` when its keys could
+    make :func:`flatten_numeric` names collide."""
+    count = 0
+    other_keys = False
+    for key, value in stats.items():
+        if type(key) is str:
+            if not key or "." in key:
+                return None
+        else:
+            other_keys = True
+        if isinstance(value, dict):
+            inner = _count_leaves(value)
+            if inner is None:
+                return None
+            count += inner
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            count += 1
+    if other_keys:
+        names = {str(key) for key in stats}
+        if len(names) != len(stats) or any(
+            not name or "." in name for name in names
+        ):
+            return None
+    return count
+
+
 @dataclass
 class TraceSample:
     """One sampling window of a co-emulation run."""

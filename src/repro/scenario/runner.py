@@ -135,18 +135,19 @@ def _execute(payload):
     """Run one member to its bounds; returns ``(ScenarioResult,
     recording)``.
 
-    ``payload`` is ``(index, scenario dict, capture_trace, record,
-    archive, source)``.  With an ``archive`` the member replays it,
-    otherwise it emulates live; with ``record`` the run captures its
-    boundary stream and ships the
+    ``payload`` is ``(index, scenario, capture_trace, digest, archive,
+    source)``.  With an ``archive`` the member replays it, otherwise it
+    emulates live; with a ``digest`` (the plan's, for a leader) the run
+    captures its boundary stream and ships the
     :class:`~repro.trace.format.TraceArchive` back (NumPy arrays pickle
     fine) so the parent can file it in the trace store.
     """
-    index, scenario_dict, capture_trace, record, archive, source = payload
+    index, scenario, capture_trace, digest, archive, source = payload
     start = time.perf_counter()
     try:
-        scenario = Scenario.from_dict(scenario_dict)
-        runnable, capture = _prepare(scenario, archive, record, source=source)
+        runnable, capture = _prepare(
+            scenario, archive, digest is not None, source=source
+        )
         report = runnable.run(
             max_emulated_seconds=scenario.max_emulated_seconds,
             max_windows=scenario.max_windows,
@@ -155,7 +156,8 @@ def _execute(payload):
         recording = None
         if capture is not None:
             recording = capture.to_archive(
-                runnable, scenario=scenario, report=report
+                runnable, scenario=scenario, report=report,
+                scenario_digest=digest,
             )
         result = ScenarioResult(
             name=scenario.name,
@@ -166,8 +168,10 @@ def _execute(payload):
         )
         return result, recording
     except Exception as exc:  # the batch survives one bad scenario
-        name = scenario_dict.get("name", f"scenario{index}")
-        return _failed(index, name, exc, time.perf_counter() - start), None
+        return (
+            _failed(index, scenario.name, exc, time.perf_counter() - start),
+            None,
+        )
 
 
 def _group_key(runnable):
@@ -186,6 +190,28 @@ def _group_key(runnable):
         # repro: allow[determinism] — process-local batching key; grouping affects solve order, never any emulated value
         structure = ("grid-id", id(runnable.grid))
     return (structure, runnable.config.sampling_period_s)
+
+
+@dataclass
+class _Plan:
+    """A batch parsed, digested and deduplicated (:meth:`Runner._plan`).
+
+    ``scenarios[i]`` is member ``i`` parsed once, or ``None`` when it
+    does not parse; its failed result is then already in
+    ``results[i]``, and it is in none of the index lists.
+    ``digests[i]`` is its scenario digest, or ``None`` without a store
+    (or when it cannot be digested: it then runs unrecorded).
+    ``hits`` maps members to store archives; each ``leader`` emulates
+    (and records when it has a digest); each ``follower`` replays its
+    leader's fresh recording.
+    """
+
+    scenarios: list
+    digests: list
+    results: list
+    hits: dict
+    leaders: list
+    followers: list
 
 
 class Runner:
@@ -242,37 +268,49 @@ class Runner:
         return data
 
     # -- the record-once/replay-many plan -------------------------------------
-    def _plan(self, dicts):
-        """Deduplicate a batch against the trace store.
+    def _plan(self, items):
+        """Parse, digest and deduplicate a batch against the trace store.
 
-        Returns ``(digests, hits, leaders, followers)``: each member's
-        scenario digest (``None`` without a store, or when the member
-        does not parse — it then fails on its own when it runs), the
-        store hits as ``{index: archive}``, one *leader* per unseen
-        digest that emulates and records, and the *followers* that
-        replay their leader's fresh recording.  Without a store every
-        member leads.
+        Each member is parsed once (:meth:`Scenario.from_dict` of its
+        :meth:`_scenario_dict`) and, with a store, digested once from
+        the parsed scenario; everything after the plan reuses both, and
+        a leader's recording is filed under the plan's digest.  A
+        member that does not parse fails here.  Store hits replay, one
+        *leader* per unseen digest emulates and records, and the
+        *followers* replay their leader's fresh recording.  Without a
+        store every parsed member leads.  Returns a :class:`_Plan`.
         """
         self._recordings = {}
-        if self.trace_store is None:
-            return [None] * len(dicts), {}, list(range(len(dicts))), []
-        digests, hits, leaders, followers = [], {}, [], []
+        plan = _Plan([], [], [None] * len(items), {}, [], [])
         claimed = set()
-        for index, data in enumerate(dicts):
+        for index, item in enumerate(items):
+            data = self._scenario_dict(item, index)
+            scenario = digest = None
             try:
-                digest = scenario_trace_digest(data)
-            except Exception:
-                digest = None
-            digests.append(digest)
-            archive = self.trace_store.get(digest)
+                scenario = Scenario.from_dict(data)
+            except Exception as exc:  # the batch survives one bad scenario
+                name = data.get("name", f"scenario{index}")
+                plan.results[index] = _failed(index, name, exc)
+            if scenario is not None and self.trace_store is not None:
+                try:
+                    digest = scenario_trace_digest(scenario)
+                except Exception:
+                    pass  # not digestible: the member runs unrecorded
+            plan.scenarios.append(scenario)
+            plan.digests.append(digest)
+            if scenario is None:
+                continue
+            archive = (
+                None if digest is None else self.trace_store.get(digest)
+            )
             if archive is not None:
-                hits[index] = archive
+                plan.hits[index] = archive
             elif digest is not None and digest in claimed:
-                followers.append(index)
+                plan.followers.append(index)
             else:
                 claimed.add(digest)
-                leaders.append(index)
-        return digests, hits, leaders, followers
+                plan.leaders.append(index)
+        return plan
 
     def _file(self, recording):
         """Keep a leader's recording for this batch's followers and put
@@ -362,27 +400,22 @@ class Runner:
         not repeat.
         """
         start = time.perf_counter()
-        dicts = [
-            self._scenario_dict(item, index)
-            for index, item in enumerate(scenarios)
-        ]
-        digests, hits, leaders, followers = self._plan(dicts)
+        plan = self._plan(scenarios)
         trace, source = self.capture_trace, self._source
-        results = [None] * len(dicts)
-        for index, archive in hits.items():
+        members, digests, results = plan.scenarios, plan.digests, plan.results
+        for index, archive in plan.hits.items():
             results[index], _ = _execute(
-                (index, dicts[index], trace, False, archive, source)
+                (index, members[index], trace, None, archive, source)
             )
         for result, recording in self._run_payloads([
-            (index, dicts[index], trace, digests[index] is not None, None,
-             source)
-            for index in leaders
+            (index, members[index], trace, digests[index], None, source)
+            for index in plan.leaders
         ]):
             results[result.index] = result
             self._file(recording)
-        for index in followers:
+        for index in plan.followers:
             results[index], _ = _execute(
-                (index, dicts[index], trace, False,
+                (index, members[index], trace, None,
                  self._recording(digests[index]), source)
             )
         self._observe_batch(results, time.perf_counter() - start, "run")
@@ -408,7 +441,8 @@ class Runner:
         group instead of one per scenario per window.  The members'
         configured solver backends are bypassed for the shared
         integration, which carries CachedLU's bounded linearization
-        error (exact for linear stacks).
+        error (exact for linear stacks); every member's report names
+        the shared backend in ``extras["integrator"]``.
 
         With a trace store, members follow the same plan as :meth:`run`:
         store hits become :class:`~repro.trace.replay.ReplaySource`
@@ -424,48 +458,46 @@ class Runner:
         group as failed.
         """
         start = time.perf_counter()
-        dicts = [
-            self._scenario_dict(item, index)
-            for index, item in enumerate(scenarios)
-        ]
-        digests, hits, leaders, followers = self._plan(dicts)
-        results = [None] * len(dicts)
+        plan = self._plan(scenarios)
+        hits, digests = plan.hits, plan.digests
         self._run_groups(
             [
                 (index, hits.get(index),
-                 index not in hits and digests[index] is not None)
-                for index in sorted([*hits, *leaders])
+                 None if index in hits else digests[index])
+                for index in sorted([*hits, *plan.leaders])
             ],
-            dicts, results, library,
+            plan, library,
         )
         self._run_groups(
             [
-                (index, self._recording(digests[index]), False)
-                for index in followers
+                (index, self._recording(digests[index]), None)
+                for index in plan.followers
             ],
-            dicts, results, library,
+            plan, library,
         )
+        results = plan.results
         self._observe_batch(results, time.perf_counter() - start, "batched")
         return results
 
-    def _run_groups(self, members, dicts, results, library):
-        """Prepare ``members`` (``(index, archive, record)`` triples),
-        group them by network structure, co-step every group, fill
-        ``results`` and file the recordings."""
+    def _run_groups(self, members, plan, library):
+        """Prepare ``members`` (``(index, archive, digest)`` triples; a
+        member with a digest records under it), group them by network
+        structure, co-step every group, fill ``plan.results`` and file
+        the recordings."""
+        results = plan.results
         groups = defaultdict(list)
-        for index, archive, record in members:
-            data = dicts[index]
+        for index, archive, digest in members:
+            scenario = plan.scenarios[index]
             try:  # the batch survives one bad scenario
-                scenario = Scenario.from_dict(data)
                 runnable, capture = _prepare(
-                    scenario, archive, record, library, self._source
+                    scenario, archive, digest is not None, library,
+                    self._source,
                 )
             except Exception as exc:
-                name = data.get("name", f"scenario{index}")
-                results[index] = _failed(index, name, exc)
+                results[index] = _failed(index, scenario.name, exc)
                 continue
             groups[_group_key(runnable)].append(
-                (index, scenario, runnable, capture)
+                (index, scenario, runnable, capture, digest)
             )
         for group in groups.values():
             start = time.perf_counter()
@@ -477,8 +509,8 @@ class Runner:
                 error = f"{type(exc).__name__}: {exc}"
                 tb = traceback_module.format_exc()
             wall = time.perf_counter() - start
-            for position, (index, scenario, runnable, capture) in enumerate(
-                group
+            for position, (index, scenario, runnable, capture, digest) in (
+                enumerate(group)
             ):
                 # A member that had already reached its bounds *before*
                 # the failing window completed normally and keeps its
@@ -494,7 +526,8 @@ class Runner:
                         # masking them would silently disable replay);
                         # only store I/O is best-effort.
                         self._file(capture.to_archive(
-                            runnable, scenario=scenario, report=report
+                            runnable, scenario=scenario, report=report,
+                            scenario_digest=digest,
                         ))
                 results[index] = ScenarioResult(
                     name=scenario.name,
@@ -522,16 +555,20 @@ class Runner:
         :class:`~repro.trace.replay.ReplaySource` players — both are
         :class:`~repro.core.framework.ThermalSide` subclasses.
         """
-        frameworks = [framework for _, _, framework, _ in group]
+        frameworks = [framework for _, _, framework, _, _ in group]
         bounds = [
             (
                 scenario.max_emulated_seconds,
                 scenario.max_windows,
                 scenario.max_stall_windows,
             )
-            for _, scenario, _, _ in group
+            for _, scenario, _, _, _ in group
         ]
         backend = BatchedLU().bind(frameworks[0].network)
+        for framework in frameworks:
+            # Provenance: the shared solve, not each member's configured
+            # backend, integrates every window (RunReport.extras).
+            framework.integrator = backend.name
         dt = frameworks[0].config.sampling_period_s
         active = list(range(len(frameworks)))
         while True:

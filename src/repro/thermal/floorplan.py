@@ -17,9 +17,17 @@ are derived from Table 1 (area = max power / power density).
 drive its power: ``("core", i)``, ``("icache", i)``, ``("dcache", i)``,
 ``("private_mem", i)``, ``("shared_mem", None)``,
 ``("noc_switch", switch_name)`` or ``None`` for passive silicon.
+
+A :class:`Floorplan` is immutable (a frozen dataclass over a tuple of
+frozen components), so the builtin factories memoize: every call with
+the same canonical parameters returns the one validated object.  A
+1008-point design-space sweep over 24 core mixes builds and validates
+24 floorplans, not one per scenario.
 """
 
-from dataclasses import dataclass, field
+import functools
+import inspect
+from dataclasses import dataclass
 
 from repro.util.units import MM2
 
@@ -64,16 +72,22 @@ class FloorplanComponent:
         return dx * dy
 
 
-@dataclass
+@dataclass(frozen=True)
 class Floorplan:
-    """An exact rectangular tiling of the die."""
+    """An exact rectangular tiling of the die.
+
+    Immutable: ``components`` is stored as a tuple and no field can be
+    reassigned, so one floorplan object is safely shared by every
+    scenario, network and power model built on it.
+    """
 
     name: str
     width: float
     height: float
-    components: list = field(default_factory=list)
+    components: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
         self.validate()
 
     @property
@@ -248,6 +262,35 @@ def _corner_floorplan(name, core_class, core_area, die_width, core_row_h, cache_
     return b.build()
 
 
+def _memoized(factory):
+    """Share one built floorplan per canonical parameter set.
+
+    Arguments are bound to the factory's signature with defaults
+    applied, so ``f(2)``, ``f(big=2)`` and ``f(2, 2)`` hit one entry.
+    The key records each value's type too: ``big=True`` names its plan
+    ``hetero_Truex...``, so it must not alias ``big=1``.  Invalid
+    parameters raise on every call and are never stored.  The cache is
+    unbounded; its keys are the distinct shapes a process asks for.
+    """
+    signature = inspect.signature(factory)
+    built = {}
+
+    @functools.wraps(factory)
+    def memoized(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = tuple(
+            (name, type(value), value) for name, value in bound.arguments.items()
+        )
+        plan = built.get(key)
+        if plan is None:
+            plan = built[key] = factory(*args, **kwargs)
+        return plan
+
+    return memoized
+
+
+@_memoized
 def floorplan_4xarm7():
     """Figure 4(a): 4 ARM7 cores at 100 MHz, 130 nm."""
     from repro.power.library import DEFAULT_LIBRARY
@@ -263,6 +306,7 @@ def floorplan_4xarm7():
     )
 
 
+@_memoized
 def floorplan_4xarm11():
     """Figure 4(b): 4 ARM11 cores at 500 MHz, 130 nm."""
     from repro.power.library import DEFAULT_LIBRARY
@@ -278,6 +322,7 @@ def floorplan_4xarm11():
     )
 
 
+@_memoized
 def floorplan_hetero(big=2, little=2, big_class="arm11", little_class="arm7"):
     """A parameterized big.LITTLE-style floorplan for heterogeneous DSE.
 

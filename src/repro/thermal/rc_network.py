@@ -407,8 +407,14 @@ class RCNetwork:
 
 # -- structure-keyed assembly cache ------------------------------------------
 
+#: Prototype networks by structure key, least recently used first.
 _ASSEMBLY_CACHE = {}
-_ASSEMBLY_CACHE_LIMIT = 32
+#: Room for every structure of the default design space (24 core mixes
+#: x 2 spreader grids = 48) plus headroom, so a shuffled sweep builds
+#: each structure once.  Evicting sooner saves no memory: the clones a
+#: batched run holds until it co-steps keep their prototype's arrays
+#: alive anyway, and a rebuild only duplicates them.
+_ASSEMBLY_CACHE_LIMIT = 64
 
 
 def network_for(
@@ -424,8 +430,10 @@ def network_for(
     Structurally identical requests (same floorplan geometry, same grid
     knobs, default properties) share one grid generation and one matrix
     assembly per process: later calls return :meth:`RCNetwork.clone`
-    views of the cached prototype.  Custom ``properties`` bypass the
-    cache (the key would need a material fingerprint).
+    views of the cached prototype.  The cache keeps the
+    :data:`_ASSEMBLY_CACHE_LIMIT` most recently used structures.
+    Custom ``properties`` bypass the cache (the key would need a
+    material fingerprint).
     """
     if properties is not None:
         grid = build_grid(
@@ -444,7 +452,7 @@ def network_for(
         tuple(die_resolution),
         tuple(spreader_resolution),
     )
-    prototype = _ASSEMBLY_CACHE.get(key)
+    prototype = _ASSEMBLY_CACHE.pop(key, None)
     if prototype is None:
         grid = build_grid(
             floorplan,
@@ -457,7 +465,7 @@ def network_for(
         prototype.structure_key = key
         if len(_ASSEMBLY_CACHE) >= _ASSEMBLY_CACHE_LIMIT:
             _ASSEMBLY_CACHE.pop(next(iter(_ASSEMBLY_CACHE)))
-        _ASSEMBLY_CACHE[key] = prototype
+    _ASSEMBLY_CACHE[key] = prototype  # (re)inserted as most recently used
     return prototype.clone()
 
 

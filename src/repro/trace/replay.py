@@ -220,6 +220,7 @@ class ReplaySource(ThermalSide):
             )
         extras = dict(base.extras)
         extras["thermal_cells"] = self.network.num_cells
+        extras["integrator"] = self.integrator_name()
         extras["replay"] = {
             "scenario_digest": self.archive.scenario_digest,
             "recorded_windows": self.recorded_windows,

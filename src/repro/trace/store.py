@@ -97,12 +97,14 @@ _OPEN_LOOP_POLICIES = ("none",)
 
 
 def _scenario_dict(scenario):
-    """The *normalized* dict form of a scenario.
+    """The *normalized* dict form of a scenario, a fresh copy.
 
     Raw dicts may abbreviate (missing sections keep their defaults, a
     policy can be a bare name), so they are round-tripped through
     :class:`~repro.scenario.spec.Scenario` first — otherwise the same
     experiment would hash differently depending on how it was spelled.
+    A caller that already holds the parsed scenario passes it instead
+    and skips that parse.
     """
     if isinstance(scenario, dict):
         from repro.scenario.spec import Scenario
@@ -127,7 +129,9 @@ def is_open_loop(scenario):
 
 def emulation_projection(scenario):
     """The sub-dict of a scenario that determines its boundary stream."""
-    data = json.loads(json.dumps(_scenario_dict(scenario)))  # deep copy
+    # The JSON round trip puts the projection in the form a JSON reader
+    # sees (non-string keys become strings before the digest sorts them).
+    data = json.loads(json.dumps(_scenario_dict(scenario)))
     data.pop("name", None)
     data.pop("description", None)
     if _policy_name(data) in _OPEN_LOOP_POLICIES and isinstance(

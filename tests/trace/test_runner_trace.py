@@ -252,3 +252,35 @@ def test_failed_store_put_is_counted_not_fatal(monkeypatch, method):
     # The follower still replayed the leader's unfiled recording.
     assert [r.replayed for r in results] == [False, True]
     assert _store_counter("repro_store_put_errors_total") == errors_before + 1
+
+
+def test_reports_name_the_integrator_each_member_actually_used():
+    variants = thermal_sweep(2)
+    for variant in variants:
+        variant.config.solver_backend = "cached_lu"
+    # Serial runs integrate with their configured backend, live and
+    # replayed alike.
+    serial = Runner(trace_store=TraceStore()).run(variants)
+    assert [r.replayed for r in serial] == [False, True]
+    assert [r.report.extras["integrator"] for r in serial] == [
+        "cached_lu", "cached_lu"
+    ]
+    # Co-stepped members all go through the group's shared BatchedLU,
+    # whatever they configured; the replay does not inherit the
+    # recording's integrator either.
+    batched = Runner(trace_store=TraceStore()).run_batched(variants)
+    assert [r.replayed for r in batched] == [False, True]
+    assert [r.report.extras["integrator"] for r in batched] == [
+        "batched_lu", "batched_lu"
+    ]
+    # A replay names its own integrator, not the recording's.
+    store = TraceStore()
+    Runner(trace_store=store).run(variants[:1])
+    replayed = Runner(trace_store=store).run_batched(variants[:1])[0]
+    assert replayed.replayed
+    assert replayed.report.extras["integrator"] == "batched_lu"
+    store = TraceStore()
+    Runner(trace_store=store).run_batched(variants[:1])
+    replayed = Runner(trace_store=store).run(variants[:1])[0]
+    assert replayed.replayed
+    assert replayed.report.extras["integrator"] == "cached_lu"
