@@ -6,8 +6,9 @@ emulation backend (:data:`repro.emulation.backends.EMULATION_BACKENDS`)
 through the same MATRIX scenario — the default ``matrix_quickstart``
 preset sized up to a multi-window run — and reports emulate-phase
 windows/sec (from the framework's ``extras["timing"]`` breakdown), the
-speedup over the ``event_driven`` reference, and the windowed backend's
-one-off calibration cost.  The timing is only trusted after an
+event-driven interpreter's microseconds per instruction, the speedup
+over the ``event_driven`` reference, and the windowed backend's one-off
+calibration cost.  The timing is only trusted after an
 equivalence harness passes: identical window counts and completion
 semantics, instruction totals within 0.5%, and per-window total power
 within each backend's declared ``power_tolerance_pct``.
@@ -130,6 +131,11 @@ def equivalence(reference, candidate, tolerance_pct):
     return worst_pct, failures
 
 
+def us_per_instruction(run):
+    """Emulate-phase microseconds per executed instruction."""
+    return run["emulate_seconds"] / max(run["instructions"], 1.0) * 1e6
+
+
 def measure(iterations=DEFAULT_ITERATIONS, include_cycle_accurate=True):
     """Run the harness; returns the machine-readable payload.
 
@@ -175,6 +181,9 @@ def measure(iterations=DEFAULT_ITERATIONS, include_cycle_accurate=True):
             "windowed": windowed_rate,
         },
         "windowed_speedup": windowed_rate / reference_rate,
+        "event_driven_us_per_instruction": us_per_instruction(
+            runs["event_driven"]
+        ),
     }
     if include_cycle_accurate:
         # A deliberately tiny datapoint: every component, every cycle.
@@ -205,8 +214,8 @@ def enforce(payload):
 def render(payload):
     """The human-readable report for the full bench."""
     table = Table(
-        ["backend", "windows", "emulate s", "windows/s", "speedup",
-         "max power dev"],
+        ["backend", "windows", "emulate s", "windows/s", "us/instr",
+         "speedup", "max power dev"],
         title=(
             f"Emulation backend throughput (matrix_quickstart, "
             f"{payload['iterations']} iterations, "
@@ -225,7 +234,9 @@ def render(payload):
             name,
             run["windows"],
             f"{run['emulate_seconds']:.3f}",
-            f"{rate:,.0f}",
+            f"{rate:,.1f}",
+            # Only the interpreter executes instructions one by one.
+            f"{us_per_instruction(run):.2f}" if name == "event_driven" else "-",
             f"{rate / reference_rate:.1f}x",
             deviation,
         )
@@ -295,7 +306,10 @@ def main(argv=None):
     if args.check:
         print(
             f"emulation backends equivalent; windowed speedup "
-            f"{payload['windowed_speedup']:.0f}x (bar {SPEEDUP_BAR:.0f}x)"
+            f"{payload['windowed_speedup']:.0f}x (bar {SPEEDUP_BAR:.0f}x); "
+            f"event-driven {payload['windows_per_second']['event_driven']:.1f}"
+            f" windows/s, "
+            f"{payload['event_driven_us_per_instruction']:.2f} us/instruction"
         )
         return 0
     print(render(payload))

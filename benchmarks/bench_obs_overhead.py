@@ -12,9 +12,13 @@ two ways:
   backend window.  Gate: < 1%.  Modeled rather than differenced because
   a sub-0.1% effect drowns in run-to-run noise — the guard cost itself
   is what the instrumentation added, so it is measured directly.
-* **Enabled (measured)** — interleaved pairs of full runs, tracing off
-  vs tracing on (in-memory :class:`~repro.obs.tracing.SpanTracer`, five
-  span events per window plus the run span), median of k.  Gate: < 5%.
+* **Enabled (measured)** — interleaved pairs of full runs timed in CPU
+  seconds, tracing off vs tracing on (in-memory :class:`~repro.obs.tracing.SpanTracer`, five
+  span events per window plus the run span).  The tax is the median of
+  the per-pair differences over the median tracing-off run; each run is
+  sized by window count to last at least ``MIN_RUN_S``, so a pair's
+  difference is several timer ticks and scheduler slices long.  Gate:
+  < 5%.  The spread of the per-pair taxes is printed beside the verdict.
 
 Check mode (``python benchmarks/bench_obs_overhead.py --check``, run in
 CI) asserts both gates with minimal output.  ``--json`` persists the
@@ -37,33 +41,53 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 DEFAULT_ITERATIONS = 40    # MATRIX platform iterations: ~9 windows at 1 ms
 SAMPLING_PERIOD_S = 0.001  # 100k cycles/window at the preset's 100 MHz
-DEFAULT_PAIRS = 7          # off/on run pairs; medians beat the noise
+MIN_RUN_S = 0.1            # each timed run lasts at least this long
+MIN_PAIRS = 7              # off/on run pairs: at least this many
+DEFAULT_PAIRS = 15         # medians of per-pair differences beat the noise
 GUARD_SAMPLES = 200_000    # guard microbenchmark iterations
 
 DISABLED_BAR_PCT = 1.0     # modeled guard cost per window
 ENABLED_BAR_PCT = 5.0      # measured full-tracing tax
 
 
-def make_scenario(iterations=DEFAULT_ITERATIONS):
+def make_scenario(iterations=DEFAULT_ITERATIONS,
+                  sampling_period_s=SAMPLING_PERIOD_S):
     """The default preset on the fast windowed backend — the highest
     window rate in the repo, i.e. the worst case for per-window tax."""
     scenario = PRESETS.get("matrix_quickstart")()
     scenario.workload.params["iterations"] = iterations
-    scenario.config.sampling_period_s = SAMPLING_PERIOD_S
+    scenario.config.sampling_period_s = sampling_period_s
     scenario.config.emulation_backend = "windowed"
     return scenario
 
 
-def run_once(iterations, traced):
-    """One full build + run; returns ``(wall_seconds, windows)``."""
-    framework = make_scenario(iterations).build()
-    start = time.perf_counter()
+def run_once(iterations, traced, sampling_period_s=SAMPLING_PERIOD_S):
+    """One full build + run; returns ``(cpu_seconds, windows)`` of the run.
+
+    CPU time rather than wall time: the run is single-threaded and does
+    no I/O, so the time it waits for a CPU on a shared host is noise."""
+    framework = make_scenario(iterations, sampling_period_s).build()
+    start = time.process_time()
     if traced:
         with obs_tracing.activate(SpanTracer()):
             report = framework.run()
     else:
         report = framework.run()
-    return time.perf_counter() - start, report.windows
+    return time.process_time() - start, report.windows
+
+
+def sized_period(iterations):
+    """The sampling period that makes one tracing-off run last at least
+    ``MIN_RUN_S``: the workload stays the same (so does its cached
+    calibration), it is cut into proportionally more windows."""
+    period = SAMPLING_PERIOD_S
+    for _ in range(4):
+        cpu, _ = run_once(iterations, traced=False, sampling_period_s=period)
+        if cpu >= MIN_RUN_S:
+            break
+        # 25% headroom so host noise rarely drops a run under the floor.
+        period *= cpu / (1.25 * MIN_RUN_S)
+    return period
 
 
 def guard_cost_seconds(samples=GUARD_SAMPLES):
@@ -81,37 +105,64 @@ def _median(values):
     return ordered[len(ordered) // 2]
 
 
+def _quartiles(values):
+    ordered = sorted(values)
+    return ordered[len(ordered) // 4], ordered[(3 * len(ordered)) // 4]
+
+
 def measure(iterations=DEFAULT_ITERATIONS, pairs=DEFAULT_PAIRS):
     """Run the harness; returns the machine-readable payload."""
+    if pairs < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} pairs, got {pairs}")
     clear_calibration_cache()
     run_once(iterations, traced=False)  # warm calibration + caches
-    off_walls, on_walls = [], []
+    period = sized_period(iterations)
+    off_cpus, on_cpus = [], []
     windows = 0
-    for _ in range(pairs):
-        wall, windows = run_once(iterations, traced=False)
-        off_walls.append(wall)
-        wall, _ = run_once(iterations, traced=True)
-        on_walls.append(wall)
-    off = _median(off_walls)
-    on = _median(on_walls)
+    for pair in range(pairs):
+        # Alternate which run of a pair goes first, so a host slowing
+        # down or speeding up over the bench does not bias the tax.
+        for traced in (False, True) if pair % 2 == 0 else (True, False):
+            seconds, windows = run_once(iterations, traced=traced,
+                                        sampling_period_s=period)
+            (on_cpus if traced else off_cpus).append(seconds)
+    off = _median(off_cpus)
+    pair_taxes = [
+        (on - off_cpu) / off * 100.0
+        for off_cpu, on in zip(off_cpus, on_cpus)
+    ]
+    low, high = _quartiles(pair_taxes)
     seconds_per_window = off / max(windows, 1)
     guard = guard_cost_seconds()
     return {
         "scenario": "matrix_quickstart",
         "backend": "windowed",
         "iterations": iterations,
-        "sampling_period_s": SAMPLING_PERIOD_S,
+        "sampling_period_s": period,
         "pairs": pairs,
         "windows": windows,
-        "median_wall_off_s": off,
-        "median_wall_on_s": on,
+        "median_cpu_off_s": off,
+        "median_cpu_on_s": _median(on_cpus),
+        "off_spread_pct": (max(off_cpus) - min(off_cpus)) / off * 100.0,
+        "pair_tax_iqr_pct": [low, high],
         "seconds_per_window": seconds_per_window,
         "guard_cost_ns": guard * 1e9,
         "disabled_overhead_pct": guard / seconds_per_window * 100.0,
-        "enabled_overhead_pct": (on - off) / off * 100.0,
+        "enabled_overhead_pct": _median(pair_taxes),
         "disabled_bar_pct": DISABLED_BAR_PCT,
         "enabled_bar_pct": ENABLED_BAR_PCT,
     }
+
+
+def spread(payload):
+    """The run-to-run spread, printed beside every verdict."""
+    low, high = payload["pair_tax_iqr_pct"]
+    return (
+        f"per-pair tax IQR {low:.2f}..{high:.2f}%, tracing-off runs "
+        f"spread {payload['off_spread_pct']:.1f}% over {payload['pairs']} "
+        f"pairs of {payload['median_cpu_off_s'] * 1e3:.0f} ms "
+        f"({payload['windows']} windows)"
+    )
 
 
 def enforce(payload):
@@ -124,14 +175,14 @@ def enforce(payload):
     enabled = payload["enabled_overhead_pct"]
     assert enabled < ENABLED_BAR_PCT, (
         f"tracing-on runs are {enabled:.2f}% slower than tracing-off "
-        f"(bar {ENABLED_BAR_PCT:g}%)"
+        f"(bar {ENABLED_BAR_PCT:g}%; {spread(payload)})"
     )
 
 
 def render(payload):
     """The human-readable report for the full bench."""
     table = Table(
-        ["mode", "median wall (ms)", "overhead", "bar"],
+        ["mode", "median CPU (ms)", "overhead", "bar"],
         title=(
             f"Observability overhead (windowed backend, "
             f"{payload['windows']} windows x {payload['pairs']} pairs, "
@@ -140,17 +191,18 @@ def render(payload):
     )
     table.add_row(
         "tracing off (modeled guard)",
-        f"{payload['median_wall_off_s'] * 1e3:.2f}",
+        f"{payload['median_cpu_off_s'] * 1e3:.2f}",
         f"{payload['disabled_overhead_pct']:.4f}%",
         f"< {payload['disabled_bar_pct']:g}%",
     )
     table.add_row(
         "tracing on (measured)",
-        f"{payload['median_wall_on_s'] * 1e3:.2f}",
+        f"{payload['median_cpu_on_s'] * 1e3:.2f}",
         f"{payload['enabled_overhead_pct']:.2f}%",
         f"< {payload['enabled_bar_pct']:g}%",
     )
     lines = [str(table), ""]
+    lines.append(spread(payload))
     lines.append(
         f"guard cost: {payload['guard_cost_ns']:.0f} ns per window "
         f"(one module read + `is None`); five span events per window "
@@ -190,7 +242,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--pairs", type=int, default=DEFAULT_PAIRS,
-        help=f"off/on run pairs to median over (default {DEFAULT_PAIRS})",
+        help=f"off/on run pairs to median over (at least {MIN_PAIRS}, "
+        f"default {DEFAULT_PAIRS})",
     )
     args = parser.parse_args(argv)
     payload = measure(iterations=args.iterations, pairs=args.pairs)
@@ -203,7 +256,7 @@ def main(argv=None):
             f"{payload['disabled_overhead_pct']:.4f}% "
             f"(bar {DISABLED_BAR_PCT:g}%), enabled "
             f"{payload['enabled_overhead_pct']:.2f}% "
-            f"(bar {ENABLED_BAR_PCT:g}%)"
+            f"(bar {ENABLED_BAR_PCT:g}%); {spread(payload)}"
         )
         return 0
     print(render(payload))

@@ -10,7 +10,7 @@ which is exactly why FPGA emulation (and this engine) beats a
 signal-level simulator that must evaluate every component every cycle.
 """
 
-import heapq
+from heapq import heapify, heappop, heappush
 
 
 class EventDrivenEngine:
@@ -27,38 +27,35 @@ class EventDrivenEngine:
         accounted (the sniffers report active/stalled/idle splits).
         Returns the number of instructions executed in this window.
         """
-        heap = []
-        for index, core in enumerate(self.platform.cores):
-            if not core.halted and core.cycle < until_cycle:
-                # Tie-break same-cycle cores by platform index: a stable,
-                # process-independent order (id() varies per process and
-                # would make contention outcomes and trace digests
-                # irreproducible).
-                heapq.heappush(heap, (core.cycle, index, core))
+        heap = [
+            # Tie-break same-cycle cores by platform index: a stable,
+            # process-independent order (id() varies per process and
+            # would make contention outcomes and trace digests
+            # irreproducible).
+            (core.cycle, index, core)
+            for index, core in enumerate(self.platform.cores)
+            if not core.halted and core.cycle < until_cycle
+        ]
+        heapify(heap)
         executed = 0
-        budget = max_instructions
+        # A non-positive budget still runs one instruction.
+        budget = None if max_instructions is None else max(1, max_instructions)
         while heap:
-            cycle, index, core = heapq.heappop(heap)
-            if core.halted or core.cycle >= until_cycle:
-                continue
-            # Run this core while it remains the globally earliest one:
-            # accesses it issues cannot be overtaken by any other core.
-            next_cycle = heap[0][0] if heap else until_cycle
-            horizon = min(until_cycle, next_cycle)
-            while core.cycle <= horizon and not core.halted:
-                if core.cycle >= until_cycle:
+            _cycle, index, core = heappop(heap)
+            # Run this core while it remains the globally earliest one
+            # (up to and including the next core's clock — ties go to the
+            # lower index, which pops first): accesses it issues cannot
+            # be overtaken by any other core.  Only the running core's
+            # state changes, so heap entries never go stale.
+            horizon = heap[0][0] if heap else until_cycle
+            ran = core.run(budget, until_cycle, horizon)
+            executed += ran
+            if budget is not None:
+                budget -= ran
+                if budget <= 0:
                     break
-                core.step()
-                executed += 1
-                if budget is not None:
-                    budget -= 1
-                    if budget <= 0:
-                        if idle_to_boundary:
-                            self._idle_stragglers(until_cycle)
-                        self.instructions_executed += executed
-                        return executed
             if not core.halted and core.cycle < until_cycle:
-                heapq.heappush(heap, (core.cycle, index, core))
+                heappush(heap, (core.cycle, index, core))
         if idle_to_boundary:
             self._idle_stragglers(until_cycle)
         self.instructions_executed += executed

@@ -69,7 +69,7 @@ class CacheConfig:
         return self.line_size // 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheResult:
     """Outcome of one cache access, consumed by the memory controller.
 
@@ -86,30 +86,46 @@ class CacheResult:
     victim_addr: int = None
 
 
+#: Shared results of the accesses that need no per-access data.  A plain
+#: hit (:data:`HIT`) costs the hit latency and nothing else.
+HIT = CacheResult(hit=True)
+HIT_THROUGH = CacheResult(hit=True, through_write=True)
+MISS_THROUGH = CacheResult(hit=False, through_write=True)
+
+
 class Cache(Observable):
-    """Exact tag-array model of an L1 cache."""
+    """Exact tag-array model of an L1 cache.
+
+    The geometry and latency are read from the config once, at
+    construction; the config is not mutated afterwards.
+    """
 
     def __init__(self, config):
         super().__init__()
         self.config = config
         self.name = config.name
+        self.line_size = config.line_size
+        self.num_sets = config.num_sets
+        self.line_words = config.line_words
+        self.hit_latency = config.hit_latency
+        self.write_back = config.write_policy == WRITE_BACK
         # Per set: list of [tag, dirty] entries, LRU order (index 0 = LRU,
         # last = MRU).  Exact, order-preserving model.
-        self._sets = [[] for _ in range(config.num_sets)]
+        self._sets = [[] for _ in range(self.num_sets)]
         self.counters = CounterBlock(config.name)
 
     # -- address helpers -----------------------------------------------------
     def _index_tag(self, addr):
-        line = addr // self.config.line_size
-        return line % self.config.num_sets, line // self.config.num_sets
+        line = addr // self.line_size
+        return line % self.num_sets, line // self.num_sets
 
     def line_base(self, addr):
         """Base address of the line containing ``addr``."""
-        return addr - (addr % self.config.line_size)
+        return addr - (addr % self.line_size)
 
     def _victim_base(self, set_index, tag):
-        line = tag * self.config.num_sets + set_index
-        return line * self.config.line_size
+        line = tag * self.num_sets + set_index
+        return line * self.line_size
 
     # -- the access path -------------------------------------------------------
     def access(self, addr, is_write, cycle=0):
@@ -118,47 +134,54 @@ class Cache(Observable):
         Pure tag-state transition — the memory controller turns the result
         into latencies and backing-store traffic.
         """
-        cfg = self.config
-        set_index, tag = self._index_tag(addr)
+        line = addr // self.line_size
+        num_sets = self.num_sets
+        set_index = line % num_sets
+        tag = line // num_sets
         entries = self._sets[set_index]
-        self.counters.add("accesses")
-        for pos, entry in enumerate(entries):
-            if entry[0] == tag:
-                # Hit: move to MRU position.
-                entries.append(entries.pop(pos))
-                if is_write:
-                    if cfg.write_policy == WRITE_BACK:
-                        entry[1] = True
-                        result = CacheResult(hit=True)
-                    else:
-                        result = CacheResult(hit=True, through_write=True)
+        counts = self.counters.counts
+        counts["accesses"] = counts.get("accesses", 0) + 1
+        hit = entries and entries[-1][0] == tag  # the MRU line: no reorder
+        if not hit:
+            for pos, entry in enumerate(entries):
+                if entry[0] == tag:
+                    # Hit: move to MRU position.
+                    entries.append(entries.pop(pos))
+                    hit = True
+                    break
+        if hit:
+            result = HIT
+            if is_write:
+                if self.write_back:
+                    entries[-1][1] = True
                 else:
-                    result = CacheResult(hit=True)
-                self.counters.add(ev.CACHE_HIT)
-                if self.has_hooks:
-                    self.emit(cycle, self.name, ev.CACHE_HIT, (addr, is_write))
-                return result
+                    result = HIT_THROUGH
+            counts[ev.CACHE_HIT] = counts.get(ev.CACHE_HIT, 0) + 1
+            if self._event_hooks:
+                self.emit(cycle, self.name, ev.CACHE_HIT, (addr, is_write))
+            return result
         # Miss.
         self.counters.add(ev.CACHE_MISS)
-        if self.has_hooks:
+        if self._event_hooks:
             self.emit(cycle, self.name, ev.CACHE_MISS, (addr, is_write))
-        if is_write and cfg.write_policy == WRITE_THROUGH:
+        if is_write and not self.write_back:
             # No-write-allocate: just pass the write through.
-            return CacheResult(hit=False, through_write=True)
+            return MISS_THROUGH
         # Allocate: evict the LRU entry if the set is full.
         writeback = False
         victim_addr = None
-        if len(entries) >= cfg.assoc:
+        if len(entries) >= self.config.assoc:
             victim_tag, victim_dirty = entries.pop(0)
             self.counters.add(ev.CACHE_EVICT)
             victim_addr = self._victim_base(set_index, victim_tag)
+            if self._event_hooks:
+                self.emit(cycle, self.name, ev.CACHE_EVICT, (victim_addr,))
             if victim_dirty:
                 writeback = True
                 self.counters.add(ev.CACHE_WRITEBACK)
-                if self.has_hooks:
+                if self._event_hooks:
                     self.emit(cycle, self.name, ev.CACHE_WRITEBACK, (victim_addr,))
-        dirty = bool(is_write and cfg.write_policy == WRITE_BACK)
-        entries.append([tag, dirty])
+        entries.append([tag, bool(is_write and self.write_back)])
         return CacheResult(
             hit=False, fill=True, writeback=writeback, victim_addr=victim_addr
         )
@@ -189,7 +212,7 @@ class Cache(Observable):
         from the timing state (their data is already in backing store —
         see the module docstring on the functional/timing split)."""
         dirty = len(self.dirty_lines())
-        self._sets = [[] for _ in range(self.config.num_sets)]
+        self._sets = [[] for _ in range(self.num_sets)]
         return dirty
 
     def stats(self):

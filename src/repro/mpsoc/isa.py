@@ -128,8 +128,9 @@ def sign_extend(value, bits):
 
 
 def to_signed(word):
-    """Interpret a 32-bit word as a signed integer."""
-    return sign_extend(word, 32)
+    """Interpret a 32-bit word as a signed integer (``sign_extend(word,
+    32)``: flipping the sign bit and subtracting it sign-extends)."""
+    return ((word & WORD_MASK) ^ 0x80000000) - 0x80000000
 
 
 def to_unsigned(value):

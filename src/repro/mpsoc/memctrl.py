@@ -15,6 +15,7 @@ latency (Sections 3.2 and 4.2).
 
 from dataclasses import dataclass
 
+from repro.mpsoc.cache import HIT
 from repro.mpsoc.events import CounterBlock, Observable
 
 
@@ -63,6 +64,7 @@ class MemoryController(Observable):
         self.icache = icache
         self.dcache = dcache
         self.ranges = []
+        self._fetch_hint = self._data_hint = (0, 0, None)  # (base, end, range)
         self.counters = CounterBlock(name)
         # Set by the VPCM when the framework wires the platform; receives
         # the number of *physical* cycles to inhibit the virtual clock.
@@ -87,23 +89,35 @@ class MemoryController(Observable):
                 return rng
         raise AccessFault(f"{self.name}: no range maps address 0x{addr:08x}")
 
+    def _decode_hint(self, addr):
+        """Decode ``addr`` into a ``(base, end, range)`` hint.  Ranges never
+        overlap (:meth:`add_range` rejects that) and are never removed, so
+        a hint stays right for every address inside it."""
+        rng = self.decode(addr)
+        return rng.base, rng.base + rng.size, rng
+
     # -- functional data access ------------------------------------------------
     def read_value(self, addr, size):
-        rng = self.decode(addr)
+        return self._read(self.decode(addr), addr, size)
+
+    def write_value(self, addr, size, value):
+        self._write(self.decode(addr), addr, size, value)
+
+    @staticmethod
+    def _read(rng, addr, size):
+        off = addr - rng.base
         if rng.is_mmio:
-            return rng.target.mmio_read(rng.offset(addr))
-        off = rng.offset(addr)
+            return rng.target.mmio_read(off)
         if size == 4:
             return rng.target.read_word(off)
         return rng.target.read_byte(off)
 
-    def write_value(self, addr, size, value):
-        rng = self.decode(addr)
+    @staticmethod
+    def _write(rng, addr, size, value):
+        off = addr - rng.base
         if rng.is_mmio:
-            rng.target.mmio_write(rng.offset(addr), value)
-            return
-        off = rng.offset(addr)
-        if size == 4:
+            rng.target.mmio_write(off, value)
+        elif size == 4:
             rng.target.write_word(off, value)
         else:
             rng.target.write_byte(off, value)
@@ -138,8 +152,15 @@ class MemoryController(Observable):
     def _cached_access(self, cache, rng, addr, is_write, t):
         """Access through an L1; returns total latency in virtual cycles."""
         result = cache.access(addr, is_write, t)
-        latency = cache.config.hit_latency
-        line_words = cache.config.line_words
+        if result is HIT:
+            return cache.hit_latency
+        return self._refill_latency(cache, rng, addr, result, t)
+
+    def _refill_latency(self, cache, rng, addr, result, t):
+        """Latency of an L1 access that was not a plain hit: the hit
+        latency plus the backing traffic ``result`` asks for."""
+        latency = cache.hit_latency
+        line_words = cache.line_words
         if result.writeback:
             latency += self._backing_latency(
                 rng, result.victim_addr, True, line_words, t + latency
@@ -153,33 +174,51 @@ class MemoryController(Observable):
         return latency
 
     # -- the three access paths used by the processor ---------------------------
+    # Instruction fetches and data accesses keep one decode hint each: text
+    # and data usually sit in different ranges, and each stream stays in
+    # its range for long runs.
     def fetch_timing(self, addr, t):
-        """Instruction-fetch latency at virtual cycle ``t``."""
-        rng = self.decode(addr)
-        self.counters.add("fetches")
-        if rng.cacheable and self.icache is not None:
-            return self._cached_access(self.icache, rng, addr, False, t)
+        """Instruction-fetch latency at virtual cycle ``t``.
+
+        The I-cache hit is inlined: it is the one path every instruction
+        takes."""
+        base, end, rng = self._fetch_hint
+        if not base <= addr < end:
+            self._fetch_hint = base, end, rng = self._decode_hint(addr)
+        counts = self.counters.counts
+        counts["fetches"] = counts.get("fetches", 0) + 1
+        cache = self.icache
+        if rng.cacheable and cache is not None:
+            result = cache.access(addr, False, t)
+            if result is HIT:
+                return cache.hit_latency
+            return self._refill_latency(cache, rng, addr, result, t)
         return self._backing_latency(rng, addr, False, 1, t)
 
     def load(self, addr, size, t):
         """Data load; returns ``(value, latency)``."""
-        rng = self.decode(addr)
-        self.counters.add("loads")
+        base, end, rng = self._data_hint
+        if not base <= addr < end:
+            self._data_hint = base, end, rng = self._decode_hint(addr)
+        counts = self.counters.counts
+        counts["loads"] = counts.get("loads", 0) + 1
+        value = self._read(rng, addr, size)
         if rng.is_mmio:
-            return rng.target.mmio_read(rng.offset(addr)), 1
-        value = self.read_value(addr, size)
+            return value, 1
         if rng.cacheable and self.dcache is not None:
             return value, self._cached_access(self.dcache, rng, addr, False, t)
         return value, self._backing_latency(rng, addr, False, 1, t)
 
     def store(self, addr, size, value, t):
         """Data store; returns the latency."""
-        rng = self.decode(addr)
-        self.counters.add("stores")
+        base, end, rng = self._data_hint
+        if not base <= addr < end:
+            self._data_hint = base, end, rng = self._decode_hint(addr)
+        counts = self.counters.counts
+        counts["stores"] = counts.get("stores", 0) + 1
+        self._write(rng, addr, size, value)
         if rng.is_mmio:
-            rng.target.mmio_write(rng.offset(addr), value)
             return 1
-        self.write_value(addr, size, value)
         if rng.cacheable and self.dcache is not None:
             return self._cached_access(self.dcache, rng, addr, True, t)
         return self._backing_latency(rng, addr, True, 1, t)

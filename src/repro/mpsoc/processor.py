@@ -14,6 +14,7 @@ need ("HW sniffers measure the time that each processor spends in
 active/stalled/idle mode", Section 4.1).
 """
 
+import operator
 from dataclasses import dataclass
 
 from repro.mpsoc import isa
@@ -27,6 +28,8 @@ from repro.mpsoc.isa import (
     CLASS_MUL,
     CLASS_STORE,
     CLASS_SYSTEM,
+    WORD_MASK,
+    sign_extend,
     to_signed,
     to_unsigned,
 )
@@ -150,8 +153,164 @@ class ExecutionError(Exception):
     """Raised on run-time program faults (bad jump, misaligned access...)."""
 
 
+# -- semantics ------------------------------------------------------------------
+# The one place where register, branch and mul/div semantics live.  Each
+# entry is ``fn(a, b)``: ``a`` is rs1's value and ``b`` rs2's value (R
+# format) or the decoded immediate (I format); the result is masked to a
+# word by the caller.  Register values are always unsigned words.
+def _sll(a, b):
+    return a << (b & 31)
+
+
+def _srl(a, b):
+    return (a & WORD_MASK) >> (b & 31)
+
+
+def _sra(a, b):
+    return to_signed(a) >> (b & 31)
+
+
+def _slt(a, b):
+    return 1 if to_signed(a) < to_signed(b) else 0
+
+
+def _slti(a, imm):
+    return 1 if to_signed(a) < imm else 0
+
+
+def _sltu(a, b):
+    return 1 if to_unsigned(a) < to_unsigned(b) else 0
+
+
+def _lui(_a, imm):
+    return (imm & 0xFFFF) << 16
+
+
+def _mul(a, b):
+    return to_signed(a) * to_signed(b)
+
+
+def _div(a, b):
+    a, b = to_signed(a), to_signed(b)
+    if b == 0:
+        return -1
+    return int(a / b)  # C-style truncation toward zero
+
+
+def _rem(a, b):
+    a, b = to_signed(a), to_signed(b)
+    if b == 0:
+        return a
+    return a - int(a / b) * b
+
+
+ALU_SEMANTICS = {
+    "add": operator.add,
+    "addi": operator.add,
+    "sub": operator.sub,
+    "and": operator.and_,
+    "andi": operator.and_,
+    "or": operator.or_,
+    "ori": operator.or_,
+    "xor": operator.xor,
+    "xori": operator.xor,
+    "sll": _sll,
+    "slli": _sll,
+    "srl": _srl,
+    "srli": _srl,
+    "sra": _sra,
+    "srai": _sra,
+    "slt": _slt,
+    "slti": _slti,
+    "sltu": _sltu,
+    "lui": _lui,
+    "mul": _mul,
+    "div": _div,
+    "rem": _rem,
+}
+
+BRANCH_SEMANTICS = {
+    "beq": operator.eq,
+    "bne": operator.ne,
+    "blt": lambda a, b: to_signed(a) < to_signed(b),
+    "bge": lambda a, b: to_signed(a) >= to_signed(b),
+    "bltu": lambda a, b: to_unsigned(a) < to_unsigned(b),
+    "bgeu": lambda a, b: to_unsigned(a) >= to_unsigned(b),
+}
+
+
+def _sign_extend_byte(value):
+    return sign_extend(value, 8) & WORD_MASK
+
+
+# -- predecoded ops ---------------------------------------------------------------
+# ``load_program`` turns every instruction into one op tuple
+# ``(fetch_addr, kind, cls, cpi, rd, rs1, rs2, imm, fn)`` so the
+# interpreter does one unpack and one short branch on ``kind``:
+#
+# OP_REG    rd <- fn(rs1, rs2)          (R-format ALU, mul, div, rem)
+# OP_IMM    rd <- fn(rs1, imm)          (I-format ALU, lui)
+# OP_BRANCH pc <- imm if fn(rs1, rs2)   (imm is the absolute target)
+# OP_LOAD   rd <- [rs1 + imm]           (rs2 is the size, fn the extension)
+# OP_STORE  [rs1 + imm] <- rd           (rs2 is the size)
+# OP_JUMP   rd <- pc + 1; pc <- imm     (j, jal; rd 0 links nothing)
+# OP_JUMP_REG rd <- pc + 1; pc <- rs1   (jr, jalr)
+# OP_NOP    nothing (nop, and every ALU op that writes r0)
+# OP_HALT   the core halts
+OP_REG = 0
+OP_IMM = 1
+OP_BRANCH = 2
+OP_LOAD = 3
+OP_STORE = 4
+OP_JUMP = 5
+OP_JUMP_REG = 6
+OP_NOP = 7
+OP_HALT = 8
+
+_NO_LIMIT = float("inf")
+
+
+def _predecode(instr, pc, text_base, cpi):
+    """The op tuple of ``instr`` at instruction index ``pc``."""
+    spec = instr.spec
+    cls = spec.cls
+    m = instr.mnemonic
+    rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+    fn = None
+    if cls in (CLASS_ALU, CLASS_MUL, CLASS_DIV):
+        if m == "nop" or rd == 0:
+            kind = OP_NOP
+        else:
+            kind = OP_REG if spec.fmt == isa.FMT_R else OP_IMM
+            fn = ALU_SEMANTICS[m]
+    elif cls == CLASS_LOAD:
+        kind = OP_LOAD
+        rs2 = 4 if m == "lw" else 1
+        fn = _sign_extend_byte if m == "lb" else None
+    elif cls == CLASS_STORE:
+        kind = OP_STORE
+        rs2 = 4 if m == "sw" else 1
+    elif cls == CLASS_BRANCH:
+        kind = OP_BRANCH
+        fn = BRANCH_SEMANTICS[m]
+        imm = pc + 1 + imm
+    elif m in ("j", "jal"):
+        kind = OP_JUMP
+        rd = rd if m == "jal" else 0
+    elif m in ("jr", "jalr"):
+        kind = OP_JUMP_REG
+        rd = rd if m == "jalr" else 0
+    else:
+        kind = OP_HALT
+    return (text_base + 4 * pc, kind, cls, cpi[cls], rd, rs1, rs2, imm, fn)
+
+
 class Processor(Observable):
-    """A timed RISC-32 interpreter bound to one memory controller."""
+    """A timed RISC-32 interpreter bound to one memory controller.
+
+    The core spec's CPI table and the L1 hit latencies are read once, at
+    construction and program load; neither changes afterwards.
+    """
 
     def __init__(self, name, spec, memctrl, frequency_hz=None):
         super().__init__()
@@ -165,8 +324,17 @@ class Processor(Observable):
         self.cycle = 0  # local virtual time
         self.state = STATE_HALTED
         self.program = None
-        self._code = []  # decoded instructions (decode once, execute many)
-        self._text_base = 0
+        self._ops = []  # predecoded program (decode once, execute many)
+        # The memory paths, and the part of a fetch / data access charged
+        # as active time (the L1 hit latency).
+        icache, dcache = memctrl.icache, memctrl.dcache
+        self._ports = (
+            memctrl.fetch_timing,
+            memctrl.load,
+            memctrl.store,
+            icache.hit_latency if icache is not None else 1,
+            dcache.hit_latency if dcache is not None else 1,
+        )
         # active/stall/idle accounting (virtual cycles)
         self.active_cycles = 0
         self.stall_cycles = 0
@@ -177,11 +345,14 @@ class Processor(Observable):
     # -- program loading ----------------------------------------------------
     def load_program(self, program):
         """Bind an assembled program; text/data must already be in memory
-        (the platform loader does that) — the core keeps a decoded copy of
-        the text for interpretation speed."""
+        (the platform loader does that) — the core keeps a predecoded copy
+        of the text for interpretation speed."""
         self.program = program
-        self._code = [isa.decode(word) for word in program.code]
-        self._text_base = program.text_base
+        cpi = self.spec.cpi
+        self._ops = [
+            _predecode(isa.decode(word), pc, program.text_base, cpi)
+            for pc, word in enumerate(program.code)
+        ]
         self.pc = program.entry
         self.regs = [0] * isa.NUM_REGISTERS
         self.state = STATE_RUNNING
@@ -200,201 +371,146 @@ class Processor(Observable):
 
     # -- execution --------------------------------------------------------------
     def step(self):
-        """Execute one instruction; returns the virtual cycles it took.
+        """Execute one instruction; returns the virtual cycles it took
+        (0 when the core is halted)."""
+        start = self.cycle
+        self.run(max_instructions=1)
+        return self.cycle - start
 
-        Returns 0 when the core is halted.  Fetch goes through the
-        I-cache path of the memory controller; loads/stores through the
-        D-side.  Cycle split: CPI + cache hit latencies count as *active*,
-        anything beyond (miss refills, bus waits) as *stall*.
+    def run(self, max_instructions=None, until_cycle=None, horizon=None):
+        """Run until halt, the instruction budget, the local clock reaching
+        ``until_cycle`` or passing ``horizon`` — the conditions are checked
+        before every instruction.  Returns the instructions executed.
+
+        Fetch goes through the I-cache path of the memory controller;
+        loads/stores through the D-side.  Cycle split: CPI + cache hit
+        latencies count as *active*, anything beyond (miss refills, bus
+        waits) as *stall*.  The clock and counters live in locals during
+        the burst and are stored back before every load and store (the
+        memory side may read them: the core's count sniffer sits in the
+        MMIO window) and at the end, even when an instruction faults; a
+        faulting instruction leaves the core as it found it.
         """
         if self.state != STATE_RUNNING:
             return 0
-        if not 0 <= self.pc < len(self._code):
-            raise ExecutionError(
-                f"{self.name}: pc {self.pc} outside text ({len(self._code)} instrs)"
-            )
-        fetch_addr = self._text_base + 4 * self.pc
-        fetch_latency = self.memctrl.fetch_timing(fetch_addr, self.cycle)
-        instr = self._code[self.pc]
-        cls = instr.cls
-        cpi = self.spec.cycles_for(cls)
-        exec_start = self.cycle + fetch_latency
-        mem_latency = 0
-        taken_extra = 0
+        ops = self._ops
+        fetch, load, store, fetch_hit, data_hit = self._ports
+        regs = self.regs
+        class_counts = self.class_counts
+        budget = _NO_LIMIT if max_instructions is None else max_instructions
+        until = _NO_LIMIT if until_cycle is None else until_cycle
+        if horizon is None:
+            horizon = _NO_LIMIT
+        pc = self.pc
+        cycle = self.cycle
+        active_total = self.active_cycles
+        stall_total = self.stall_cycles
+        retired = self.instructions
+        executed = 0
+        try:
+            while executed < budget and cycle < until and cycle <= horizon:
+                if not 0 <= pc < len(ops):
+                    raise ExecutionError(
+                        f"{self.name}: pc {pc} outside text ({len(ops)} instrs)"
+                    )
+                fetch_addr, kind, cls, cpi, rd, rs1, rs2, imm, fn = ops[pc]
+                latency = fetch(fetch_addr, cycle)
+                total = latency + cpi
+                active = cpi + (latency if latency <= fetch_hit else fetch_hit)
+                next_pc = pc + 1
+                if kind == OP_REG:
+                    regs[rd] = fn(regs[rs1], regs[rs2]) & WORD_MASK
+                elif kind == OP_IMM:
+                    regs[rd] = fn(regs[rs1], imm) & WORD_MASK
+                elif kind == OP_BRANCH:
+                    if fn(regs[rs1], regs[rs2]):
+                        next_pc = imm
+                elif kind == OP_LOAD:
+                    addr = (regs[rs1] + imm) & WORD_MASK
+                    if rs2 == 4 and addr % 4:
+                        raise ExecutionError(
+                            f"{self.name}: misaligned lw at 0x{addr:08x}"
+                        )
+                    self.pc = pc
+                    self.cycle = cycle
+                    self.active_cycles = active_total
+                    self.stall_cycles = stall_total
+                    self.instructions = retired + executed
+                    value, latency = load(addr, rs2, cycle + latency + 1)
+                    if fn is not None:
+                        value = fn(value)
+                    if rd != 0:
+                        regs[rd] = value & WORD_MASK
+                    total += latency
+                    active += latency if latency <= data_hit else data_hit
+                elif kind == OP_STORE:
+                    addr = (regs[rs1] + imm) & WORD_MASK
+                    if rs2 == 4 and addr % 4:
+                        raise ExecutionError(
+                            f"{self.name}: misaligned sw at 0x{addr:08x}"
+                        )
+                    self.pc = pc
+                    self.cycle = cycle
+                    self.active_cycles = active_total
+                    self.stall_cycles = stall_total
+                    self.instructions = retired + executed
+                    latency = store(addr, rs2, regs[rd], cycle + latency + 1)
+                    total += latency
+                    active += latency if latency <= data_hit else data_hit
+                elif kind == OP_JUMP:
+                    if rd != 0:
+                        regs[rd] = next_pc
+                    next_pc = imm
+                elif kind == OP_JUMP_REG:
+                    target = regs[rs1]
+                    if rd != 0:
+                        regs[rd] = next_pc
+                    next_pc = target
+                elif kind == OP_HALT:
+                    self.state = STATE_HALTED
+                    budget = 0  # ends the burst after this instruction
+                active_total += active
+                stall_total += total - active
+                cycle += total
+                class_counts[cls] += 1
+                executed += 1
+                pc = next_pc
+        finally:
+            self.pc = pc
+            self.cycle = cycle
+            self.active_cycles = active_total
+            self.stall_cycles = stall_total
+            self.instructions = retired + executed
+        return executed
 
-        m = instr.mnemonic
+    def retire(self, op):
+        """Apply the register and control effect of the non-memory ``op``
+        at ``pc`` and advance ``pc`` (the signal-level engine's retire
+        step; loads and stores do their functional part at issue)."""
+        _addr, kind, _cls, _cpi, rd, rs1, rs2, imm, fn = op
         regs = self.regs
         next_pc = self.pc + 1
-
-        if cls == CLASS_ALU:
-            self._execute_alu(instr)
-        elif cls in (CLASS_MUL, CLASS_DIV):
-            self._execute_muldiv(instr)
-        elif cls == CLASS_LOAD:
-            addr = to_unsigned(regs[instr.rs1] + instr.imm)
-            size = 4 if m == "lw" else 1
-            if size == 4 and addr % 4:
-                raise ExecutionError(f"{self.name}: misaligned lw at 0x{addr:08x}")
-            value, mem_latency = self.memctrl.load(addr, size, exec_start + 1)
-            if m == "lb":
-                value = isa.sign_extend(value, 8) & 0xFFFFFFFF
-            if instr.rd != 0:
-                regs[instr.rd] = value & 0xFFFFFFFF
-        elif cls == CLASS_STORE:
-            addr = to_unsigned(regs[instr.rs1] + instr.imm)
-            size = 4 if m == "sw" else 1
-            if size == 4 and addr % 4:
-                raise ExecutionError(f"{self.name}: misaligned sw at 0x{addr:08x}")
-            mem_latency = self.memctrl.store(addr, size, regs[instr.rd], exec_start + 1)
-        elif cls == CLASS_BRANCH:
-            if self._branch_taken(instr):
-                next_pc = self.pc + 1 + instr.imm
-                taken_extra = 0  # CPI table already charges the taken cost
-        elif cls == CLASS_JUMP:
-            if m == "j":
-                next_pc = instr.imm
-            elif m == "jal":
-                if instr.rd != 0:
-                    regs[instr.rd] = self.pc + 1
-                next_pc = instr.imm
-            elif m == "jr":
-                next_pc = regs[instr.rs1]
-            elif m == "jalr":
-                target = regs[instr.rs1]
-                if instr.rd != 0:
-                    regs[instr.rd] = self.pc + 1
-                next_pc = target
-        elif cls == CLASS_SYSTEM:
-            if m == "halt":
-                self.state = STATE_HALTED
-
-        # Timing and accounting.
-        hit_lat = 0
-        if self.memctrl.icache is not None:
-            hit_lat += self.memctrl.icache.config.hit_latency
-        else:
-            hit_lat += 1
-        active = cpi + min(fetch_latency, hit_lat)
-        if cls in (CLASS_LOAD, CLASS_STORE):
-            dhit = (
-                self.memctrl.dcache.config.hit_latency
-                if self.memctrl.dcache is not None
-                else 1
-            )
-            active += min(mem_latency, dhit)
-        total = fetch_latency + cpi + mem_latency + taken_extra
-        stall = total - active
-        self.active_cycles += active
-        self.stall_cycles += stall
-        self.cycle += total
-        self.instructions += 1
-        self.class_counts[cls] += 1
+        if kind == OP_REG:
+            regs[rd] = fn(regs[rs1], regs[rs2]) & WORD_MASK
+        elif kind == OP_IMM:
+            regs[rd] = fn(regs[rs1], imm) & WORD_MASK
+        elif kind == OP_BRANCH:
+            if fn(regs[rs1], regs[rs2]):
+                next_pc = imm
+        elif kind in (OP_JUMP, OP_JUMP_REG):
+            target = imm if kind == OP_JUMP else regs[rs1]
+            if rd != 0:
+                regs[rd] = next_pc
+            next_pc = target
+        elif kind == OP_HALT:
+            self.state = STATE_HALTED
         self.pc = next_pc
-        return total
-
-    def run(self, max_instructions=None, until_cycle=None):
-        """Run until halt / instruction budget / cycle horizon.
-
-        Returns the number of instructions executed in this call.
-        """
-        executed = 0
-        while self.state == STATE_RUNNING:
-            if max_instructions is not None and executed >= max_instructions:
-                break
-            if until_cycle is not None and self.cycle >= until_cycle:
-                break
-            self.step()
-            executed += 1
-        return executed
 
     def idle_until(self, cycle):
         """Advance local time in the idle state (halted core, frozen clock)."""
         if cycle > self.cycle:
             self.idle_cycles += cycle - self.cycle
             self.cycle = cycle
-
-    # -- semantics helpers -----------------------------------------------------
-    def _execute_alu(self, instr):
-        regs = self.regs
-        m = instr.mnemonic
-        a = regs[instr.rs1]
-        if instr.spec.fmt == "R":
-            b = regs[instr.rs2]
-        else:
-            b = instr.imm & 0xFFFFFFFF if instr.imm >= 0 else instr.imm
-
-        if m in ("add", "addi"):
-            value = a + (b if m == "add" else instr.imm)
-        elif m == "sub":
-            value = a - b
-        elif m in ("and", "andi"):
-            value = a & (b if m == "and" else instr.imm)
-        elif m in ("or", "ori"):
-            value = a | (b if m == "or" else instr.imm)
-        elif m in ("xor", "xori"):
-            value = a ^ (b if m == "xor" else instr.imm)
-        elif m in ("sll", "slli"):
-            shift = (b if m == "sll" else instr.imm) & 31
-            value = a << shift
-        elif m in ("srl", "srli"):
-            shift = (b if m == "srl" else instr.imm) & 31
-            value = (a & 0xFFFFFFFF) >> shift
-        elif m in ("sra", "srai"):
-            shift = (b if m == "sra" else instr.imm) & 31
-            value = to_signed(a) >> shift
-        elif m in ("slt", "slti"):
-            rhs = to_signed(b) if m == "slt" else instr.imm
-            value = 1 if to_signed(a) < rhs else 0
-        elif m == "sltu":
-            value = 1 if to_unsigned(a) < to_unsigned(b) else 0
-        elif m == "lui":
-            value = (instr.imm & 0xFFFF) << 16
-        elif m == "nop":
-            return
-        else:  # pragma: no cover - exhaustive over CLASS_ALU mnemonics
-            raise ExecutionError(f"unhandled ALU op {m}")
-        if instr.rd != 0:
-            regs[instr.rd] = value & 0xFFFFFFFF
-
-    def _execute_muldiv(self, instr):
-        regs = self.regs
-        a = to_signed(regs[instr.rs1])
-        b = to_signed(regs[instr.rs2])
-        m = instr.mnemonic
-        if m == "mul":
-            value = a * b
-        elif m == "div":
-            if b == 0:
-                value = -1
-            else:
-                value = int(a / b)  # C-style truncation toward zero
-        elif m == "rem":
-            if b == 0:
-                value = a
-            else:
-                value = a - int(a / b) * b
-        else:  # pragma: no cover
-            raise ExecutionError(f"unhandled mul/div op {m}")
-        if instr.rd != 0:
-            regs[instr.rd] = value & 0xFFFFFFFF
-
-    def _branch_taken(self, instr):
-        a = self.regs[instr.rs1]
-        b = self.regs[instr.rs2]
-        m = instr.mnemonic
-        if m == "beq":
-            return a == b
-        if m == "bne":
-            return a != b
-        if m == "blt":
-            return to_signed(a) < to_signed(b)
-        if m == "bge":
-            return to_signed(a) >= to_signed(b)
-        if m == "bltu":
-            return to_unsigned(a) < to_unsigned(b)
-        if m == "bgeu":
-            return to_unsigned(a) >= to_unsigned(b)
-        raise ExecutionError(f"unhandled branch {m}")  # pragma: no cover
 
     # -- statistics -----------------------------------------------------------
     def stats(self):

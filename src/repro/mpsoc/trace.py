@@ -91,12 +91,18 @@ class TraceCore(Observable):
                 self.state = "halted"
         return cycles
 
-    def run(self, max_instructions=None, until_cycle=None):
+    def run(self, max_instructions=None, until_cycle=None, horizon=None):
+        """Replay until the trace ends, the record budget, or the local
+        clock reaching ``until_cycle`` or passing ``horizon`` (the
+        :meth:`Processor.run <repro.mpsoc.processor.Processor.run>` burst
+        contract the engine relies on)."""
         executed = 0
         while not self.halted:
             if max_instructions is not None and executed >= max_instructions:
                 break
             if until_cycle is not None and self.cycle >= until_cycle:
+                break
+            if horizon is not None and self.cycle > horizon:
                 break
             self.step()
             executed += 1

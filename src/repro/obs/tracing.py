@@ -110,31 +110,35 @@ class SpanTracer:
             wall_s = time.perf_counter() - span._wall0
             cpu_s = time.process_time() - span._cpu0
             self._stack.pop()
-            self._record(span, wall_s, cpu_s)
+            self._record(
+                span.name, span.span_id, span.parent_id, span.attrs,
+                span.start_s, wall_s, cpu_s,
+            )
 
     def emit(self, name, wall_s, cpu_s=0.0, **attrs):
         """Record a pre-measured leaf event (no nesting of its own)."""
         if self._foreign:
             return
-        span = Span(
-            name, self._next_id,
-            self._stack[-1].span_id if self._stack else None, attrs,
-        )
+        # No Span object: a leaf event needs no start clocks of its own
+        # (the per-window events are the hot tracing path).
+        span_id = self._next_id
         self._next_id += 1
-        span.start_s -= wall_s
-        self._record(span, wall_s, cpu_s)
+        self._record(
+            name, span_id, self._stack[-1].span_id if self._stack else None,
+            attrs, time.perf_counter() - _EPOCH - wall_s, wall_s, cpu_s,
+        )
 
-    def _record(self, span, wall_s, cpu_s):
+    def _record(self, name, span_id, parent_id, attrs, start_s, wall_s, cpu_s):
         event = {
-            "name": span.name,
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "start_s": round(span.start_s, 9),
+            "name": name,
+            "span_id": span_id,
+            "parent_id": parent_id,
+            "start_s": round(start_s, 9),
             "wall_s": round(wall_s, 9),
             "cpu_s": round(cpu_s, 9),
         }
-        if span.attrs:
-            event["attrs"] = span.attrs
+        if attrs:
+            event["attrs"] = attrs
         self.events.append(event)
         if self._sink is not None:
             self._sink.write(json.dumps(event, sort_keys=True) + "\n")

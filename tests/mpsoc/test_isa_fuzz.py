@@ -11,6 +11,10 @@ timing invariants against the spec's own CPI table:
   on: ``stall == 0`` and every instruction charges exactly
   ``CPI[class] + fetch`` (+1 for a load/store data access);
 * per-class instruction counts match the stream.
+
+With ``control_flow=True`` the generator also emits forward branches and
+jumps, subroutine calls and shared-memory traffic; those programs feed
+the differential interpreter test (``test_step_differential.py``).
 """
 
 import random
@@ -34,14 +38,42 @@ DEST_REGS = tuple(range(10, 26))
 DIV_SOURCES = tuple(range(1, 6))
 
 DATA_BASE = 0x2000  # inside private memory, far above the text segment
+SHARED_DATA = 0x1000_0100  # inside shared memory, over the interconnect
+ALL_BRANCHES = BRANCHES + ("bltu", "bgeu")
+LINK_REGS = (26, 27)  # return addresses: never written by generated code
+TARGET_REG = 28  # jalr target
 
 
-def fuzz_source(rng, length):
-    """One straight-line program of ``length`` random instructions."""
+def fuzz_source(rng, length, control_flow=False):
+    """One program of ``length`` random instructions.
+
+    The default stream is straight-line.  With ``control_flow`` it also
+    skips forward over filler with branches (often taken) and ``j``/
+    ``jal``, calls subroutines placed after ``halt`` through ``jal`` and
+    ``jalr`` (they return with ``jr``), writes ``r0``, and loads/stores
+    words and bytes in shared memory (base ``r7``) as well as private
+    memory (base ``r6``).  Every path runs forward, so the program halts.
+    """
     lines = ["        .text", "main:"]
     # Prologue: nonzero divisors in r1..r5, the data base in r6.
     for reg in DIV_SOURCES:
         lines.append(f"        li   r{reg}, {rng.randint(1, 1000)}")
+    if control_flow:
+        # Private data is a 1 KB buffer of random words (so byte loads see
+        # both signs), shared data starts zeroed.
+        lines.append("        la   r6, buf")
+        lines.append(f"        li   r7, {SHARED_DATA}")
+        subroutines = []
+        for k in range(length):
+            lines.extend(_control_flow_item(rng, k, subroutines))
+        lines.append("        halt")
+        lines.extend(subroutines)
+        lines.append("        .data")
+        lines.append("buf:")
+        lines.extend(
+            f"        .word {rng.getrandbits(32)}" for _ in range(256)
+        )
+        return "\n".join(lines) + "\n"
     lines.append(f"        li   r6, {DATA_BASE}")
     for k in range(length):
         kind = rng.random()
@@ -75,6 +107,66 @@ def fuzz_source(rng, length):
             lines.append(f"next{k}:")
     lines.append("        halt")
     return "\n".join(lines) + "\n"
+
+
+def _filler(rng):
+    """One to three ALU instructions (the code a jump skips or a
+    subroutine runs)."""
+    return [
+        f"        {rng.choice(ALU_R)}  r{rng.choice(DEST_REGS)}, "
+        f"r{rng.choice(SAFE_SOURCES)}, r{rng.choice(SAFE_SOURCES)}"
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _control_flow_item(rng, k, subroutines):
+    """The lines of one generated item of a ``control_flow`` program;
+    subroutine bodies are appended to ``subroutines``."""
+    kind = rng.random()
+    rd = rng.choice(DEST_REGS + (0,))
+    rs1 = rng.choice(SAFE_SOURCES)
+    rs2 = rng.choice(SAFE_SOURCES)
+    if kind < 0.25:
+        return [f"        {rng.choice(ALU_R)}  r{rd}, r{rs1}, r{rs2}"]
+    if kind < 0.35:
+        op = rng.choice(ALU_I + ("lui",))
+        if op == "lui":
+            return [f"        lui  r{rd}, {rng.randint(0, 0xFFFF)}"]
+        return [f"        {op} r{rd}, r{rs1}, {rng.randint(0, 255)}"]
+    if kind < 0.42:
+        op = rng.choice(MULDIV)
+        return [f"        {op}  r{rd}, r{rs1}, r{rng.choice(DIV_SOURCES)}"]
+    if kind < 0.64:
+        op = rng.choice(("lw", "lb", "lbu", "sw", "sb"))
+        base = rng.choice((6, 7))
+        # 1 KB of data: more lines than the small test caches hold.
+        offset = 4 * rng.randint(0, 255) if op in ("lw", "sw") else rng.randint(0, 1023)
+        reg = rd if op.startswith("l") else rs1
+        return [f"        {op}   r{reg}, {offset}(r{base})"]
+    label = f"fwd{k}"
+    if kind < 0.78:
+        op = rng.choice(ALL_BRANCHES)
+        if rng.random() < 0.5:
+            rs2 = rs1  # equal operands: beq/bge/bgeu taken, the rest not
+        head = f"        {op}  r{rs1}, r{rs2}, {label}"
+    elif kind < 0.86:
+        link = rng.choice(LINK_REGS)
+        head = rng.choice((f"        j    {label}", f"        jal  r{link}, {label}"))
+    else:
+        sub = f"sub{k}"
+        direct = rng.random() < 0.4
+        # jalr reads its target before it links, so the target register
+        # may double as the link register.
+        link = rng.choice(LINK_REGS if direct else LINK_REGS + (TARGET_REG,))
+        subroutines.extend([f"{sub}:", *_filler(rng), f"        jr   r{link}"])
+        if direct:
+            return [f"        jal  r{link}, {sub}"]
+        return [
+            f"        la   r{TARGET_REG}, {sub}",
+            f"        srli r{TARGET_REG}, r{TARGET_REG}, 2",  # byte -> index
+            f"        jalr r{link}, r{TARGET_REG}",
+        ]
+    return [head, *_filler(rng), f"{label}:"]
 
 
 def cacheless_core(spec_name):
